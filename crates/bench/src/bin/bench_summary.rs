@@ -77,8 +77,8 @@ fn main() {
 
     let mut points = Vec::new();
     // Every quarantined point lands here as the canonical `error_doc`
-    // (`{"message", "exit_code"}`) — the same rendering the daemon uses
-    // for failed jobs, so downstream tooling parses one shape.
+    // (`{"message", "exit_code"}`) — the same rendering the CLI uses
+    // under `--stats json`, so downstream tooling parses one shape.
     let mut errors: Vec<JsonValue> = Vec::new();
     for kernel in table2() {
         for (config, mode) in design_points {

@@ -24,15 +24,9 @@
 //! assembler, functional core, and LPSU engine).
 
 pub mod experiments;
-pub mod job;
 pub mod manifest;
-pub mod proto;
 pub mod runner;
-pub mod sched;
-pub mod serve;
 pub mod store;
-pub mod transport;
-pub mod worker;
 
 use std::fmt::Write as _;
 use std::fs;
@@ -79,7 +73,7 @@ pub(crate) fn run_program(
 }
 
 /// The typed-error variant of [`run_program`]: simulation failures come
-/// back as the [`SimError`] itself (so schedulers can keep the class and
+/// back as the [`SimError`] itself (so the runner can keep the class and
 /// its exit code), while result-verification failures still panic — a
 /// wrong answer is a harness bug, not a reportable run outcome.
 pub(crate) fn try_run_program(

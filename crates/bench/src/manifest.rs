@@ -977,15 +977,17 @@ pub struct SpecResult {
     pub results: Vec<PointResult>,
 }
 
-pub(crate) fn request_point(r: &Runner, p: &SpecPoint) -> RunResult {
+/// Requests one spec point through the memoizing runner.
+pub(crate) fn request_point(r: &Runner, p: &SpecPoint) -> PointResult {
     let kernel =
         by_name(&p.kernel).unwrap_or_else(|| panic!("spec references unknown kernel {}", p.kernel));
     let config = p.config.resolve();
-    if p.gp_lowered {
+    let run = if p.gp_lowered {
         r.baseline(kernel, config)
     } else {
         r.run_sampled(kernel, config, p.mode, p.sampling)
-    }
+    };
+    PointResult::from_run(&run, p.config.is_ooo())
 }
 
 /// Requests every point of `spec` through the memoizing runner. Under the
@@ -993,13 +995,7 @@ pub(crate) fn request_point(r: &Runner, p: &SpecPoint) -> RunResult {
 /// and once live (cache-served); either way the point set requested is a
 /// pure function of the spec.
 pub fn run_spec(r: &Runner, spec: &ExperimentSpec) -> SpecResult {
-    SpecResult {
-        results: spec
-            .points
-            .iter()
-            .map(|p| PointResult::from_run(&request_point(r, p), p.config.is_ooo()))
-            .collect(),
-    }
+    SpecResult { results: spec.points.iter().map(|p| request_point(r, p)).collect() }
 }
 
 /// Dynamic instruction counts in the paper's notation (`3.1M` / `416K`).
@@ -1215,11 +1211,11 @@ impl ShardDoc {
 }
 
 /// Executes shard `index` of `of` of a spec under explicit options — the
-/// storeless adapter over the scheduler ([`crate::sched`]), which runs
-/// the same two-pass collect/prefill protocol the full-artifact binaries
-/// use (so the shard's unique points still fan out over worker threads).
+/// storeless form of [`crate::store::run_shard_stored`], which runs the
+/// same two-pass collect/prefill protocol the full-artifact binaries use
+/// (so the shard's unique points still fan out over worker threads).
 pub fn run_shard(spec: &ExperimentSpec, index: usize, of: usize, options: RunOptions) -> ShardDoc {
-    crate::sched::run_shard_stored(spec, index, of, options, None)
+    crate::store::run_shard_stored(spec, index, of, options, None)
 }
 
 /// The streaming heart of [`merge`]: shard documents are folded in one at

@@ -15,7 +15,7 @@
 //!    the set the real render needs.
 //! 2. **Execute + render** — the unique jobs are simulated (fanned out
 //!    over [`std::thread::available_parallelism`] workers on the
-//!    work-stealing pool in [`crate::sched`], or serially with
+//!    work-stealing pool [`run_jobs`], or serially with
 //!    `XLOOPS_BENCH_SERIAL=1`), then every report renders again from the
 //!    warm cache.
 //!
@@ -32,9 +32,9 @@
 //! set (and exits nonzero) instead of dying mid-render.
 //!
 //! The memo cache is per-process by design; durability is layered on
-//! top, not in. The drivers in [`crate::store`] consult a
-//! [`crate::ResultStore`] at collect time and request only the missed
-//! points here, so the runner stays a pure in-memory dedup engine and the
+//! top, not in. The store sweep in [`crate::store`] consults a
+//! [`crate::ResultStore`] first and requests only the missed points
+//! here, so the runner stays a pure in-memory dedup engine and the
 //! on-disk format never learns about [`RunKey`]s (store entries are keyed
 //! by manifest fingerprint + point index + options instead).
 //!
@@ -45,7 +45,7 @@
 //! / [`Runner::collecting_with`] take the options explicitly, which is how
 //! the manifest sweep driver records exactly what produced a shard.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -108,8 +108,8 @@ pub struct RunFailure {
     /// The diagnosis (panic payload or rendered simulation error).
     pub message: String,
     /// The typed error class when the failure was a [`SimError`] rather
-    /// than a panic — kept so downstream reporting (job states, error
-    /// documents) preserves the class and its exit code.
+    /// than a panic — kept so downstream reporting (error documents)
+    /// preserves the class and its exit code.
     pub sim: Option<SimError>,
 }
 
@@ -329,11 +329,11 @@ impl Runner {
 
     /// [`Runner::prefill`] with an explicit worker-thread count (ignores
     /// the environment). Exposed so determinism tests can pit a parallel
-    /// fill against a serial one directly. The fan-out itself lives in
-    /// [`crate::sched::run_jobs`] — the one worker pool in the workspace —
-    /// this method only supplies the per-job closure (execute behind the
-    /// panic firewall, time under `--profile`) and folds the results into
-    /// the cache.
+    /// fill against a serial one directly. The fan-out itself is
+    /// [`run_jobs`] — the one worker pool in the workspace — this method
+    /// only supplies the per-job closure (execute behind the panic
+    /// firewall, time under `--profile`) and folds the results into the
+    /// cache.
     pub fn prefill_with(&self, workers: usize) -> PrefillInfo {
         let jobs = {
             let (jobs, _) = &mut *self.pending.lock().unwrap();
@@ -346,7 +346,7 @@ impl Runner {
         // timings measure contention, not the simulator).
         let profile = self.options.profile && workers <= 1;
         let timings = Mutex::new(Vec::new());
-        let results = crate::sched::run_jobs(&jobs, workers, |_, job| {
+        let results = run_jobs(&jobs, workers, |_, job| {
             let t = std::time::Instant::now();
             let result = self.execute_caught(job);
             if profile {
@@ -399,6 +399,49 @@ impl Runner {
     }
 }
 
+/// Runs every item through `run` on a work-stealing pool of `workers`
+/// threads, returning the results in item order. `run` receives the item
+/// index and the item. With one worker (or one item) the pool degenerates
+/// to a plain in-order loop on the calling thread.
+///
+/// Each worker owns a deque seeded round-robin; it pops its own front and
+/// steals from the back of the others when dry, so a worker stuck behind
+/// one slow simulation point cannot strand the rest of the list. Results
+/// land in per-item slots, so the output order is the input order
+/// whichever worker ran what — which is what keeps serial and parallel
+/// fills byte-identical.
+pub fn run_jobs<T: Sync, R: Send>(
+    items: &[T],
+    workers: usize,
+    run: impl Fn(usize, &T) -> R + Sync,
+) -> Vec<R> {
+    let workers = workers.clamp(1, items.len().max(1));
+    if workers <= 1 {
+        return items.iter().enumerate().map(|(i, t)| run(i, t)).collect();
+    }
+    // Deal indices round-robin, one deque per worker.
+    let queues: Vec<Mutex<VecDeque<usize>>> =
+        (0..workers).map(|w| Mutex::new((w..items.len()).step_by(workers).collect())).collect();
+    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
+    std::thread::scope(|scope| {
+        for w in 0..workers {
+            let (queues, slots, run) = (&queues, &slots, &run);
+            scope.spawn(move || loop {
+                // Own front first; steal from the back of the others when
+                // dry. An item leaves a queue only into the worker that
+                // runs it, so a full empty scan means every item is
+                // claimed and this worker can retire.
+                let claimed = queues[w].lock().unwrap().pop_front().or_else(|| {
+                    (1..workers).find_map(|d| queues[(w + d) % workers].lock().unwrap().pop_back())
+                });
+                let Some(i) = claimed else { break };
+                *slots[i].lock().unwrap() = Some(run(i, &items[i]));
+            });
+        }
+    });
+    slots.into_iter().map(|s| s.into_inner().unwrap().expect("pool ran every item")).collect()
+}
+
 /// Runs a report generator with the full two-pass protocol: collect the
 /// job set, execute each unique point exactly once (in parallel unless
 /// `XLOOPS_BENCH_SERIAL=1`), then render from the warm cache. Returns the
@@ -419,7 +462,44 @@ pub fn render_artifact(f: impl Fn(&Runner) -> String) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicUsize;
     use xloops_lpsu::LpsuConfig;
+
+    #[test]
+    fn pool_returns_results_in_item_order() {
+        let items: Vec<usize> = (0..97).collect();
+        for workers in [1, 2, 4, 9] {
+            let out = run_jobs(&items, workers, |i, &x| {
+                assert_eq!(i, x);
+                x * 3
+            });
+            assert_eq!(out, items.iter().map(|x| x * 3).collect::<Vec<_>>(), "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn pool_runs_every_item_exactly_once() {
+        let counts: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(0)).collect();
+        let items: Vec<usize> = (0..64).collect();
+        let _ = run_jobs(&items, 8, |_, &x| counts[x].fetch_add(1, Ordering::Relaxed));
+        assert!(counts.iter().all(|c| c.load(Ordering::Relaxed) == 1));
+    }
+
+    #[test]
+    fn pool_steals_past_a_slow_head_item() {
+        // Worker 0's own queue starts with the slow item; the other
+        // workers must drain everything else meanwhile. This pins the
+        // stealing behavior indirectly: with 4 workers and one item that
+        // sleeps, total wall time must stay well under items × sleep.
+        let items: Vec<u64> = (0..32).map(|i| if i == 0 { 40 } else { 1 }).collect();
+        let t = std::time::Instant::now();
+        let out = run_jobs(&items, 4, |_, &ms| {
+            std::thread::sleep(std::time::Duration::from_millis(ms));
+            ms
+        });
+        assert_eq!(out, items);
+        assert!(t.elapsed() < std::time::Duration::from_millis(32 * 40 / 2), "{:?}", t.elapsed());
+    }
 
     #[test]
     fn cache_hit_returns_identical_result() {

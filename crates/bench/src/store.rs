@@ -28,6 +28,14 @@
 //! store treats as a miss (warn, re-simulate, rewrite) — corruption can
 //! cost time, never correctness, and never a panic.
 //!
+//! [`run_shard_stored`] and [`run_specs_stored`] — the functions behind
+//! `xloops sweep`, `--bin all --store`, and `bench-summary` — are the one
+//! execution path: probe the store per point, run the misses through the
+//! [`Runner`]'s two-pass protocol (deduplicated across specs, fanned out
+//! on [`crate::runner::run_jobs`]), save the fresh results, and return
+//! everything in point order. Crash-safe resume falls out of it: a rerun
+//! finds the finished points in the store and simulates only the rest.
+//!
 //! Two policy decisions worth their weight:
 //!
 //! - `XLOOPS_STORE` is deliberately *not* part of [`RunOptions`]: the
@@ -41,14 +49,13 @@
 use std::collections::HashSet;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use xloops_sim::RunOptions;
 use xloops_stats::{binary, JsonValue, StatSet};
 
-use crate::manifest::{PointResult, ShardDoc};
-
-pub use crate::sched::{run_shard_stored, run_specs_stored, StoredSweepResult};
+use crate::manifest::{request_point, shard_points, ExperimentSpec, PointResult, ShardDoc};
+use crate::runner::{PrefillInfo, RunFailure, Runner};
 
 /// Store-entry filename extension (binary-encoded [`PointResult`]).
 const ENTRY_EXT: &str = "dxr";
@@ -60,7 +67,10 @@ const ENTRY_EXT: &str = "dxr";
 #[derive(Debug)]
 pub struct ResultStore {
     dir: PathBuf,
-    quiet: AtomicBool,
+    /// `XLOOPS_STORE_QUIET=1`: damage is still *counted*
+    /// (`StoreStats::corrupt`, `profile.store.corrupt`), just not warned
+    /// about on stderr.
+    quiet: bool,
     hits: AtomicU64,
     misses: AtomicU64,
     corrupt: AtomicU64,
@@ -98,13 +108,13 @@ impl StoreStats {
     }
 }
 
-/// How a [`ResultStore::load_classified`] probe resolved. The scheduler
+/// How a [`ResultStore::load_classified`] probe resolved. The sweep
 /// needs the three-way split — an absent entry is normal cold-cache
 /// behavior, a corrupt one is worth a warning and a
 /// `profile.store.corrupt` count — while plain [`ResultStore::load`]
 /// callers still see both as a miss.
 #[derive(Debug)]
-pub(crate) enum Loaded {
+enum Loaded {
     /// A usable entry: the decoded result and its size in bytes.
     Hit(PointResult, u64),
     /// No entry on disk.
@@ -134,7 +144,7 @@ impl ResultStore {
         let quiet = std::env::var("XLOOPS_STORE_QUIET").is_ok_and(|v| v == "1");
         Ok(ResultStore {
             dir,
-            quiet: AtomicBool::new(quiet),
+            quiet,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             corrupt: AtomicU64::new(0),
@@ -143,19 +153,9 @@ impl ResultStore {
         })
     }
 
-    /// Silences (or re-enables) the store's stderr warnings. Initialized
-    /// from `XLOOPS_STORE_QUIET=1`; the serve daemon also sets it, because
-    /// a daemon's corruption diagnostics belong in its own log stream, not
-    /// interleaved with whatever client happens to be connected. Damage is
-    /// still *counted* (`StoreStats::corrupt`, `profile.store.corrupt`)
-    /// either way — quiet mutes the messenger, never the measurement.
-    pub fn set_quiet(&self, quiet: bool) {
-        self.quiet.store(quiet, Ordering::Relaxed);
-    }
-
     /// One store warning on stderr, unless the store is quiet.
-    pub(crate) fn warn(&self, message: std::fmt::Arguments<'_>) {
-        if !self.quiet.load(Ordering::Relaxed) {
+    fn warn(&self, message: std::fmt::Arguments<'_>) {
+        if !self.quiet {
             eprintln!("[store] warning: {message}");
         }
     }
@@ -219,8 +219,8 @@ impl ResultStore {
     }
 
     /// [`ResultStore::load`] with the miss cause preserved — the
-    /// scheduler's probe wants to know a damaged entry from a cold one.
-    pub(crate) fn load_classified(&self, key: &str) -> Loaded {
+    /// sweep's probe wants to know a damaged entry from a cold one.
+    fn load_classified(&self, key: &str) -> Loaded {
         let path = self.entry_path(key);
         let corrupt = |w: String| {
             self.warn(format_args!("{}: {w}; treating as a miss", path.display()));
@@ -329,11 +329,131 @@ impl ResultStore {
     }
 }
 
+/// [`crate::manifest::run_shard`] with an optional durable store: hits
+/// are served from disk, only misses enter the two-pass simulate
+/// protocol, and fresh results are written back. `None` is exactly the
+/// storeless behavior.
+pub fn run_shard_stored(
+    spec: &ExperimentSpec,
+    index: usize,
+    of: usize,
+    options: RunOptions,
+    store: Option<&ResultStore>,
+) -> ShardDoc {
+    assert!(of > 0 && index < of, "impossible shard {index}/{of}");
+    let owned = shard_points(spec, index, of);
+    let mut swept = sweep(&[(spec, owned.clone())], &options, store);
+    let results = owned.into_iter().zip(swept.results.remove(0)).collect();
+    ShardDoc { fingerprint: spec.fingerprint(), index, of, options, spec: spec.clone(), results }
+}
+
+/// Results of a store-backed multi-spec sweep.
+#[derive(Clone, Debug)]
+pub struct StoredSweepResult {
+    /// Per-spec, per-point results (spec and point order), ready for
+    /// [`crate::manifest::render_spec`].
+    pub results: Vec<Vec<PointResult>>,
+    /// Quarantined simulation points across all specs.
+    pub failures: Vec<RunFailure>,
+    /// Prefill summary (unique *simulated* points; hits never enter it).
+    pub prefill: PrefillInfo,
+}
+
+/// Runs every spec against one shared runner with store consultation:
+/// points present in the store are read, the rest are deduplicated
+/// *across specs* (like `--bin all`'s shared collecting runner) and
+/// simulated once, then written back.
+pub fn run_specs_stored(
+    specs: &[ExperimentSpec],
+    options: &RunOptions,
+    store: &ResultStore,
+) -> StoredSweepResult {
+    let work: Vec<(&ExperimentSpec, Vec<usize>)> =
+        specs.iter().map(|s| (s, (0..s.points.len()).collect())).collect();
+    sweep(&work, options, Some(store))
+}
+
+/// The one execution path: runs the given point indices of each spec.
+/// Store hits resolve from disk; the misses of every spec share one
+/// memoizing runner, so identical points simulate once across specs. Each
+/// fresh non-errored result is saved, and under `options.profile` every
+/// point gains its `profile.store` counters. Results come back per spec,
+/// in the order of the given indices.
+fn sweep(
+    work: &[(&ExperimentSpec, Vec<usize>)],
+    options: &RunOptions,
+    store: Option<&ResultStore>,
+) -> StoredSweepResult {
+    // Per point: its store key and how the store probe resolved.
+    let probes: Vec<Vec<(String, Loaded)>> = work
+        .iter()
+        .map(|(spec, indices)| {
+            let fingerprint = spec.fingerprint();
+            indices
+                .iter()
+                .map(|&i| {
+                    let key = ResultStore::point_key(&fingerprint, i, options);
+                    let loaded = store.map_or(Loaded::Absent, |s| s.load_classified(&key));
+                    (key, loaded)
+                })
+                .collect()
+        })
+        .collect();
+
+    // Two-pass protocol over the misses: collect the deduplicated job
+    // list, fill the cache once, then request every miss again live.
+    let runner = Runner::collecting_with(options.clone());
+    for ((spec, indices), probe) in work.iter().zip(&probes) {
+        for (&i, (_, loaded)) in indices.iter().zip(probe) {
+            if !matches!(loaded, Loaded::Hit(..)) {
+                let _ = request_point(&runner, &spec.points[i]);
+            }
+        }
+    }
+    let prefill = runner.prefill();
+
+    let results = work
+        .iter()
+        .zip(probes)
+        .map(|((spec, indices), probe)| {
+            indices
+                .iter()
+                .zip(probe)
+                .map(|(&i, (key, loaded))| {
+                    let corrupt = matches!(loaded, Loaded::Corrupt);
+                    let (mut result, hit, bytes) = match loaded {
+                        Loaded::Hit(result, bytes) => (result, true, bytes),
+                        Loaded::Absent | Loaded::Corrupt => {
+                            let result = request_point(&runner, &spec.points[i]);
+                            let written = match store {
+                                Some(store) if result.error.is_none() => {
+                                    store.save(&key, &result).unwrap_or_else(|e| {
+                                        store.warn(format_args!(
+                                            "cannot write entry {key}: {e}; result kept in memory"
+                                        ));
+                                        0
+                                    })
+                                }
+                                _ => 0,
+                            };
+                            (result, false, written)
+                        }
+                    };
+                    if options.profile && store.is_some() {
+                        attach_store_counters(&mut result.stats, hit, bytes, corrupt);
+                    }
+                    result
+                })
+                .collect()
+        })
+        .collect();
+    StoredSweepResult { results, failures: runner.failures(), prefill }
+}
+
 /// Grafts a `store` child onto the result's `profile` node (creating the
 /// node if the tree has none) so per-point cache traffic rides in the
 /// non-deterministic profile stat family, never in golden artifacts.
-/// Called by the scheduler's assembly pass ([`crate::sched`]).
-pub(crate) fn attach_store_counters(stats: &mut StatSet, hit: bool, bytes: u64, corrupt: bool) {
+fn attach_store_counters(stats: &mut StatSet, hit: bool, bytes: u64, corrupt: bool) {
     let mut store = StatSet::new("store");
     store.set("hits", hit as u64);
     store.set("misses", !hit as u64);
@@ -585,10 +705,9 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_loads_are_counted_and_quiet_suppresses_nothing_else() {
+    fn corrupt_loads_are_counted_apart_from_absent_ones() {
         let dir = store_dir("quietcorrupt");
         let store = ResultStore::open(&dir).unwrap();
-        store.set_quiet(true); // keep the damage warning out of test output
         let key = ResultStore::point_key("feedfacefeedface", 0, &RunOptions::default());
         fs::write(dir.join(format!("{key}.{ENTRY_EXT}")), b"\xd8XLS garbage").unwrap();
         assert!(store.load(&key).is_none());

@@ -7,9 +7,9 @@ use xloops_stats::JsonValue;
 
 /// The one canonical error-document shape every machine-readable surface
 /// uses: `{"message": ..., "exit_code": ...}`. The CLI's `--stats json`
-/// error output, `bench-summary`'s `"errors"` array, and the serve
-/// daemon's per-job failure reports all render through here, so a client
-/// parses one schema no matter which surface produced the failure.
+/// error output and `bench-summary`'s `"errors"` array both render
+/// through here, so a client parses one schema no matter which surface
+/// produced the failure.
 /// Failures with no [`SimError`] class behind them (panics, verification
 /// failures) use the generic exit code `1`.
 pub fn error_doc(message: &str, exit_code: i32) -> JsonValue {
@@ -82,35 +82,6 @@ pub enum SimError {
     /// An engine violated a run-protocol invariant (a stop reason that the
     /// requested run options cannot produce).
     Protocol(&'static str),
-    /// A worker process was lost while running a job: it crashed
-    /// (SIGKILL, abort, OOM), went silent past the heartbeat grace, or
-    /// returned garbage — and retries on fresh workers were exhausted.
-    WorkerLost {
-        /// What took the last worker down (`exited`, `silent`, `garbage`,
-        /// `spawn failed`, ...).
-        cause: String,
-        /// Attempts made (first dispatch plus retries).
-        attempts: u32,
-        /// Total seeded-backoff delay slept between attempts, in ms.
-        backoff_ms: u64,
-    },
-    /// A job exceeded its per-attempt wall-clock deadline
-    /// (`XLOOPS_JOB_TIMEOUT`) on every attempt.
-    Timeout {
-        /// The configured deadline in ms.
-        timeout_ms: u64,
-        /// Attempts made (first dispatch plus retries).
-        attempts: u32,
-    },
-    /// A typed simulation failure relayed from a worker process: the
-    /// original diagnosis and its class exit code, carried across the
-    /// wire so error documents stay identical to an in-process run.
-    Remote {
-        /// The original one-line diagnosis.
-        message: String,
-        /// The original class's [`SimError::exit_code`].
-        exit_code: i32,
-    },
 }
 
 impl SimError {
@@ -153,10 +124,7 @@ impl SimError {
 
     /// The process exit code for this error class: `3` for a wedge
     /// (`NoForwardProgress`), `4` for a fault (architectural, injected, or
-    /// corrupt handback), `5` for an exceeded cycle budget, `6` for a lost
-    /// worker process, `7` for an expired job deadline, `1` otherwise. A
-    /// relayed [`SimError::Remote`] keeps the exit code of the original
-    /// class it carried across the worker wire.
+    /// corrupt handback), `5` for an exceeded cycle budget, `1` otherwise.
     pub fn exit_code(&self) -> i32 {
         match self {
             SimError::NoForwardProgress { .. } => 3,
@@ -165,9 +133,6 @@ impl SimError {
             | SimError::Injected { .. }
             | SimError::CorruptHandback { .. } => 4,
             SimError::CycleBudget { .. } => 5,
-            SimError::WorkerLost { .. } => 6,
-            SimError::Timeout { .. } => 7,
-            SimError::Remote { exit_code, .. } => *exit_code,
             _ => 1,
         }
     }
@@ -208,17 +173,6 @@ impl fmt::Display for SimError {
                 write!(f, "cycle budget exceeded: {cycles} cycles spent (budget {budget})")
             }
             SimError::Protocol(what) => write!(f, "run-protocol violation: {what}"),
-            SimError::WorkerLost { cause, attempts, backoff_ms } => {
-                write!(
-                    f,
-                    "worker lost ({cause}) after {attempts} attempt(s), \
-                     {backoff_ms} ms total backoff"
-                )
-            }
-            SimError::Timeout { timeout_ms, attempts } => {
-                write!(f, "job deadline of {timeout_ms} ms exceeded on {attempts} attempt(s)")
-            }
-            SimError::Remote { message, .. } => f.write_str(message),
         }
     }
 }
@@ -243,28 +197,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn worker_classes_have_distinct_exit_codes() {
-        let lost = SimError::WorkerLost { cause: "exited".into(), attempts: 3, backoff_ms: 175 };
-        assert_eq!(lost.exit_code(), 6);
-        assert!(lost.to_string().contains("exited"), "{lost}");
-        assert!(lost.to_string().contains("3 attempt"), "{lost}");
-        let timeout = SimError::Timeout { timeout_ms: 500, attempts: 2 };
-        assert_eq!(timeout.exit_code(), 7);
-        assert!(timeout.to_string().contains("500 ms"), "{timeout}");
-        // Every class keeps its own code; none collide with the new pair.
+    fn error_classes_have_distinct_exit_codes() {
         assert_eq!(SimError::NoForwardProgress { pc: 0, cycle: 0, stalled: 0 }.exit_code(), 3);
-        assert_eq!(SimError::CycleBudget { budget: 1, cycles: 2 }.exit_code(), 5);
+        assert_eq!(SimError::Injected { pc: 0, cycle: 0 }.exit_code(), 4);
+        let budget = SimError::CycleBudget { budget: 1, cycles: 2 };
+        assert_eq!(budget.exit_code(), 5);
         assert_eq!(SimError::Protocol("x").exit_code(), 1);
-    }
-
-    #[test]
-    fn remote_errors_carry_the_original_class_across_the_wire() {
-        let original = SimError::CycleBudget { budget: 10, cycles: 11 };
-        let relayed =
-            SimError::Remote { message: original.to_string(), exit_code: original.exit_code() };
-        assert_eq!(relayed.exit_code(), 5);
-        assert_eq!(relayed.to_string(), original.to_string());
-        // The error documents — what clients actually parse — are equal.
-        assert_eq!(relayed.to_json_value().render(), original.to_json_value().render());
+        // The error document carries the class's exit code.
+        assert_eq!(budget.to_json_value().render(), error_doc(&budget.to_string(), 5).render(),);
     }
 }

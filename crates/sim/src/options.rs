@@ -22,20 +22,12 @@
 //! | `XLOOPS_SAMPLE=N:W:M` | interval-sampled simulation: fast-forward N instructions, warm W cycles, measure M cycles |
 //!
 //! (`XLOOPS_PROFILE_KERNELS` / `XLOOPS_PROFILE_REPS` belong to the
-//! `profile_lpsu` example only and stay local to it. A second family of
-//! knobs is *deliberately* outside [`RunOptions`] because it names
-//! infrastructure rather than run semantics and must never change
-//! results or store keys: `XLOOPS_STORE` / `XLOOPS_STORE_QUIET` are
-//! read by the bench crate's `ResultStore`, `XLOOPS_SOCK` and
-//! `XLOOPS_CLIENT_TIMEOUT` by the sweep-daemon clients, the networking
-//! knobs — `XLOOPS_LISTEN` (daemon TCP listener), `XLOOPS_CONNECT`
-//! (remote-worker dial address), `XLOOPS_TOKEN` (shared secret) — by the
-//! bench crate's transport layer, and the worker-pool supervision knobs
-//! — `XLOOPS_WORKERS`, `XLOOPS_JOB_TIMEOUT`, `XLOOPS_MAX_RETRIES`,
-//! `XLOOPS_HEARTBEAT_GRACE`, `XLOOPS_WORKER_EXE` — by the bench crate's
-//! `PoolConfig`. Crash isolation, retries, deadlines, and transports
-//! decide *where* and *how patiently* a point simulates, never *what* it
-//! computes, so keying results on them would only fragment the store.)
+//! `profile_lpsu` example only and stay local to it. Two infrastructure
+//! knobs are *deliberately* outside [`RunOptions`]: `XLOOPS_STORE` and
+//! `XLOOPS_STORE_QUIET`, read by the bench crate's `ResultStore`. They
+//! name where results are cached and whether damage warnings print, never
+//! what a point computes, so keying results on them would only fragment
+//! the store.)
 
 use xloops_stats::JsonValue;
 

@@ -210,13 +210,23 @@ impl System {
         self.gpp.stall_until(scan_end + res.cycles);
 
         // Architectural handback: induction and bound registers take their
-        // serial-equivalent values; CIRs are the defined live-outs; all
-        // other loop-written registers are undefined by the ISA (we leave
-        // the live-in values in place, a valid choice).
+        // serial-equivalent values; CIRs are the defined live-outs; `xi`
+        // (MIVT) registers advance by `inc` per committed iteration, so a
+        // GPP resuming mid-instance (adaptive profiling) addresses through
+        // the right pointers; all other loop-written registers are
+        // undefined by the ISA (we leave the live-in values in place, a
+        // valid choice).
         self.gpp.set_reg(s.idx_reg, res.final_idx);
         self.gpp.set_reg(s.bound_reg, res.final_bound);
         for &(r, v) in &res.cir_finals {
             self.gpp.set_reg(r, v);
+        }
+        for m in &s.mivt {
+            let live_in = s.live_ins[m.reg.index()];
+            self.gpp.set_reg(
+                m.reg,
+                live_in.wrapping_add((m.inc as i64 * res.iterations as i64) as u32),
+            );
         }
         if (res.final_idx as i32) < (res.final_bound as i32) {
             // Profiling cap left iterations: resume at the body start.

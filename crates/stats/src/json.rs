@@ -438,13 +438,24 @@ impl<'a> Parser<'a> {
                     }
                 }
                 _ => {
-                    // Re-decode from the byte position: strings are UTF-8.
-                    let rest = &self.bytes[self.pos - 1..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let c = s.chars().next().expect("non-empty by construction");
+                    // Strings are UTF-8: decode the one scalar starting
+                    // here, validating only its own bytes (the lead byte
+                    // gives the width), so parsing stays linear.
+                    let start = self.pos - 1;
+                    let width = match b {
+                        0x00..=0x7F => 1,
+                        0xC0..=0xDF => 2,
+                        0xE0..=0xEF => 3,
+                        _ => 4,
+                    };
+                    let c = self
+                        .bytes
+                        .get(start..start + width)
+                        .and_then(|s| std::str::from_utf8(s).ok())
+                        .and_then(|s| s.chars().next())
+                        .ok_or_else(|| self.err("invalid UTF-8 in string"))?;
                     out.push(c);
-                    self.pos += c.len_utf8() - 1;
+                    self.pos = start + c.len_utf8();
                 }
             }
         }
@@ -586,6 +597,39 @@ mod tests {
         assert_eq!(pretty, "{\n  \"a\": 1,\n  \"b\": [\n    {\"x\":2}\n  ]\n}\n");
         // And pretty output still parses back to the same value.
         assert_eq!(JsonValue::parse(&pretty).unwrap(), v);
+    }
+
+    #[test]
+    fn multibyte_strings_decode_whole_scalars() {
+        for text in ["é", "aé€𝄞z", "𝄞", "€€"] {
+            let doc = format!("\"{text}\"");
+            assert_eq!(JsonValue::parse(&doc).unwrap(), JsonValue::Str(text.to_string()));
+        }
+    }
+
+    #[test]
+    fn parse_time_is_linear_in_document_size() {
+        // A flat object of string fields, `n` bytes or so. A parser that
+        // re-scans the rest of the document per character costs 16× the
+        // time on 4× the input; a linear one costs 4×.
+        let doc = |n: usize| {
+            let fields: Vec<String> =
+                (0..n / 40).map(|i| format!("\"key{i:06}\": \"value-{i:020}\"")).collect();
+            format!("{{{}}}", fields.join(", "))
+        };
+        let min_of_3 = |text: &str| {
+            (0..3)
+                .map(|_| {
+                    let t = std::time::Instant::now();
+                    JsonValue::parse(text).unwrap();
+                    t.elapsed()
+                })
+                .min()
+                .unwrap()
+        };
+        let (small, large) = (doc(100_000), doc(400_000));
+        let (t_small, t_large) = (min_of_3(&small), min_of_3(&large));
+        assert!(t_large < t_small * 8, "4× input took {t_large:?} vs {t_small:?}");
     }
 
     #[test]

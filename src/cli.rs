@@ -12,6 +12,8 @@
 //! xloops sweep --manifest <file> [--shard K/N] [--store DIR] [--out <file>]
 //!                                            run one shard of a manifest
 //! xloops merge [--store DIR] <shard>...      recombine shards and render
+//! xloops store prune --manifest <file>... [--store DIR]
+//!                                            drop store entries no manifest uses
 //!
 //! run/kernel options:
 //!   --config io|ooo2|ooo4|io+x|ooo2+x|ooo4+x   (default io+x)
@@ -31,29 +33,21 @@
 //! The binary image format is the raw little-endian instruction words,
 //! starting at pc 0.
 //!
+//! Cross-machine runs are `sweep --shard K/N` on each machine followed by
+//! one `merge` of the shard files; `--store DIR` lets an interrupted or
+//! repeated sweep resume from the points it already finished.
+//!
 //! Exit codes: `0` success, `1` generic failure, `2` usage/parse error,
 //! `3` simulation wedge ([`crate::sim::SimError::NoForwardProgress`]),
-//! `4` architectural/injected fault, `5` exceeded cycle budget, `6` lost
-//! worker process ([`crate::sim::SimError::WorkerLost`]), `7` expired job
-//! deadline ([`crate::sim::SimError::Timeout`]).
-//!
-//! There is also a hidden `xloops worker` subcommand: the child half of
-//! the supervised worker pool (`XLOOPS_WORKERS`), speaking NDJSON on
-//! stdin/stdout. It is spawned by the scheduler, not by people — except
-//! in its `xloops worker --connect HOST:PORT` form, which dials a TCP
-//! daemon and registers as a remote executor. See [`crate::bench::worker`].
+//! `4` architectural/injected fault, `5` exceeded cycle budget.
 
 use std::collections::HashSet;
 use std::fmt::Write as _;
-use std::path::PathBuf;
 
 use crate::asm::{assemble, disassemble, Program};
 use crate::bench::experiments::{all_specs, spec_by_name};
 use crate::bench::manifest::{render_spec, ExperimentSpec, MergeFold, ShardDoc};
-use crate::bench::proto;
-use crate::bench::serve::{self, Daemon, ServeConfig};
 use crate::bench::store::run_shard_stored;
-use crate::bench::transport::Endpoint;
 use crate::bench::ResultStore;
 use crate::kernels;
 use crate::sim::{
@@ -91,8 +85,7 @@ impl From<&str> for CliError {
 /// one-line diagnosis (a wedge reports the loop pc and stalled-context
 /// count), and a JSON error document when `--stats json` was requested.
 /// The document body is [`SimError::to_json_value`] — the same canonical
-/// shape `bench-summary`'s `"errors"` array and the serve daemon's
-/// per-job failure reports use.
+/// shape `bench-summary`'s `"errors"` array uses.
 fn sim_error(e: SimError, stats_json: bool) -> CliError {
     let json = stats_json.then(|| {
         let doc = JsonValue::object(vec![("error", e.to_json_value())]);
@@ -162,41 +155,6 @@ pub enum Command {
     Merge {
         shards: Vec<String>,
         store: Option<String>,
-    },
-    /// `serve [--sock PATH] [--listen tcp://ADDR] [--store DIR]`: host
-    /// the scheduler as a long-running daemon on a Unix socket — and,
-    /// with `--listen` (or `XLOOPS_LISTEN`), a TCP listener alongside it
-    /// (blocks until `shutdown`).
-    Serve {
-        sock: Option<String>,
-        listen: Option<String>,
-        store: Option<String>,
-    },
-    /// `submit MANIFEST [--wait] [--sock PATH]`: send a manifest to the
-    /// daemon; `manifest` holds the spec file's contents. With `--wait`
-    /// the rendered artifact is the output.
-    Submit {
-        manifest: String,
-        wait: bool,
-        sock: Option<String>,
-    },
-    /// `status [JOB] [--sock PATH]`: query a submitted sweep by its job
-    /// id (the manifest fingerprint), or — with no job id — list every
-    /// job the daemon knows.
-    Status {
-        job: Option<String>,
-        sock: Option<String>,
-    },
-    /// Hidden: the worker-pool child process (`xloops worker`). Speaks
-    /// the NDJSON job protocol on stdin/stdout until EOF or `exit` — or,
-    /// with `--connect HOST:PORT` (or `XLOOPS_CONNECT`), dials a TCP
-    /// daemon and serves as a registered remote executor.
-    Worker {
-        connect: Option<String>,
-    },
-    /// `shutdown [--sock PATH]`: stop the daemon cleanly.
-    Shutdown {
-        sock: Option<String>,
     },
     /// `store prune --manifest FILE... [--store DIR]`: delete store
     /// entries no manifest's points (under the current `XLOOPS_*` run
@@ -297,34 +255,16 @@ pub fn usage() -> &'static str {
      \x20 xloops manifest [<name>] [-o <file>]\n\
      \x20 xloops sweep --manifest <file> [--shard K/N] [--store DIR] [--out <file>]\n\
      \x20 xloops merge [--store DIR] <shard.json|shard.dxs>...\n\
-     \x20 xloops serve [--sock PATH] [--listen tcp://ADDR] [--store DIR]\n\
-     \x20 xloops submit <spec.json> [--wait] [--sock PATH]\n\
-     \x20 xloops status [<job>] [--sock PATH]\n\
-     \x20 xloops shutdown [--sock PATH]\n\
      \x20 xloops store prune --manifest <file>... [--store DIR]\n\n\
      configs: io ooo2 ooo4 io+x ooo2+x ooo4+x   modes: traditional specialized adaptive\n\
      stats formats: text (default) json\n\
      supervision (run/kernel): --faults SEED[:N]  --checkpoint CYCLES  --budget CYCLES\n\
      sampling (run/kernel):    --sample N:W:M (ff N instrs, warm W cycles, measure M cycles)\n\
-     store (sweep/merge/serve/prune): --store DIR (or XLOOPS_STORE=DIR) caches point\n\
+     store (sweep/merge/prune): --store DIR (or XLOOPS_STORE=DIR) caches point\n\
      \x20                  results durably; a sweep --out ending in .dxs writes the\n\
      \x20                  binary shard format\n\
-     daemon (serve/submit/status/shutdown): --sock PATH (or XLOOPS_SOCK=PATH) names the\n\
-     \x20                  Unix socket (clients may also dial tcp://HOST:PORT); a sweep's\n\
-     \x20                  job id is its manifest fingerprint; status with no job lists\n\
-     \x20                  every known job; clients time out after XLOOPS_CLIENT_TIMEOUT\n\
-     \x20                  ms (default 10000, 0 = never)\n\
-     network (serve): --listen tcp://HOST:PORT (or XLOOPS_LISTEN) opens a TCP listener\n\
-     \x20                  alongside the Unix socket; XLOOPS_TOKEN=SECRET gates TCP\n\
-     \x20                  peers (clients and remote workers send the same token);\n\
-     \x20                  remote executors dial in with `xloops worker --connect\n\
-     \x20                  HOST:PORT` (or XLOOPS_CONNECT)\n\
-     workers (sweep/serve): XLOOPS_WORKERS=N runs jobs in N supervised worker\n\
-     \x20                  processes; XLOOPS_JOB_TIMEOUT=MS sets a per-attempt job\n\
-     \x20                  deadline (default off); XLOOPS_MAX_RETRIES=N bounds retries\n\
-     \x20                  after worker crashes (default 2)\n\
-     exit codes: 0 ok, 1 error, 2 usage, 3 wedge, 4 fault, 5 cycle budget,\n\
-     \x20           6 worker lost, 7 job deadline\n"
+     cross-machine: sweep --shard K/N on each machine, then merge the shard files\n\
+     exit codes: 0 ok, 1 error, 2 usage, 3 wedge, 4 fault, 5 cycle budget\n"
 }
 
 fn parse_u32(s: &str) -> Result<u32, String> {
@@ -524,91 +464,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 return Err("merge expects at least one shard file".into());
             }
             Ok(Command::Merge { shards, store })
-        }
-        "serve" => {
-            let mut sock = None;
-            let mut listen = None;
-            let mut store = None;
-            let mut it = args[1..].iter();
-            while let Some(a) = it.next() {
-                let mut next =
-                    |what: &str| it.next().cloned().ok_or_else(|| format!("{a} expects {what}"));
-                match a.as_str() {
-                    "--sock" => sock = Some(next("a socket path")?),
-                    "--listen" => listen = Some(next("a tcp://HOST:PORT address")?),
-                    "--store" => store = Some(next("a directory")?),
-                    other => return Err(format!("unknown option `{other}`")),
-                }
-            }
-            Ok(Command::Serve { sock, listen, store })
-        }
-        "submit" => {
-            let mut manifest = None;
-            let mut wait = false;
-            let mut sock = None;
-            let mut it = args[1..].iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--wait" => wait = true,
-                    "--sock" => {
-                        sock = Some(it.next().ok_or("--sock expects a socket path")?.clone());
-                    }
-                    other if !other.starts_with('-') && manifest.is_none() => {
-                        manifest = Some(
-                            std::fs::read_to_string(other).map_err(|e| format!("{other}: {e}"))?,
-                        );
-                    }
-                    other => return Err(format!("unknown option `{other}`")),
-                }
-            }
-            let manifest = manifest.ok_or("submit expects a manifest file")?;
-            Ok(Command::Submit { manifest, wait, sock })
-        }
-        "status" => {
-            let mut job = None;
-            let mut sock = None;
-            let mut it = args[1..].iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--sock" => {
-                        sock = Some(it.next().ok_or("--sock expects a socket path")?.clone());
-                    }
-                    other if !other.starts_with('-') && job.is_none() => {
-                        job = Some(other.to_string());
-                    }
-                    other => return Err(format!("unknown option `{other}`")),
-                }
-            }
-            Ok(Command::Status { job, sock })
-        }
-        // Mostly hidden: the pipe-serving form is spawned by the worker
-        // pool, never typed by people. The `--connect` form is the
-        // user-facing remote executor.
-        "worker" => {
-            let mut connect = None;
-            let mut it = args[1..].iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--connect" => {
-                        connect = Some(it.next().ok_or("--connect expects HOST:PORT")?.clone());
-                    }
-                    other => return Err(format!("unknown option `{other}`")),
-                }
-            }
-            Ok(Command::Worker { connect })
-        }
-        "shutdown" => {
-            let mut sock = None;
-            let mut it = args[1..].iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--sock" => {
-                        sock = Some(it.next().ok_or("--sock expects a socket path")?.clone());
-                    }
-                    other => return Err(format!("unknown option `{other}`")),
-                }
-            }
-            Ok(Command::Shutdown { sock })
         }
         "store" => {
             match args.get(1).map(String::as_str) {
@@ -851,195 +706,6 @@ pub fn execute(cmd: Command) -> Result<CommandOutput, CliError> {
             // proves the sharded path reproduced it.
             Ok((render_spec(&spec, &results), None))
         }
-        Command::Serve { sock, listen, store } => {
-            let sock = match resolve_sock(sock)? {
-                Endpoint::Unix(path) => path,
-                ep @ Endpoint::Tcp(_) => {
-                    return Err(manifest_error(format!(
-                        "serve --sock must be a Unix socket path, not {}; use --listen for TCP",
-                        ep.describe()
-                    )))
-                }
-            };
-            let store_dir = store.map(PathBuf::from).or_else(|| {
-                std::env::var("XLOOPS_STORE").ok().filter(|d| !d.is_empty()).map(PathBuf::from)
-            });
-            let cfg = ServeConfig {
-                sock: sock.clone(),
-                listen: serve::listen_from(listen),
-                store_dir,
-                options: crate::sim::RunOptions::from_env(),
-                token: proto::token_from_env(),
-            };
-            let listen_ep = cfg.listen.clone();
-            let daemon = Daemon::bind(cfg)
-                .map_err(|e| manifest_error(format!("cannot bind {}: {e}", sock.display())))?;
-            // A `kill` from an orchestrator must not strand a stale
-            // socket file (the `shutdown` command unlinks it in-band).
-            #[cfg(unix)]
-            serve::install_sigterm_unlink(&sock);
-            eprintln!("[serve] listening on {}", sock.display());
-            if let Some(ep) = &listen_ep {
-                let bound = daemon
-                    .tcp_addr()
-                    .map(|a| format!("tcp://{a}"))
-                    .unwrap_or_else(|| ep.describe());
-                eprintln!("[serve] listening on {bound}");
-            }
-            let swept =
-                daemon.run().map_err(|e| CliError::from(format!("{}: {e}", sock.display())))?;
-            Ok((format!("served {swept} sweep(s) on {}\n", sock.display()), None))
-        }
-        Command::Submit { manifest, wait, sock } => {
-            let ep = resolve_sock(sock)?;
-            let spec = ExperimentSpec::from_json(&manifest).map_err(manifest_error)?;
-            let req = JsonValue::object(vec![
-                ("cmd", JsonValue::Str("submit".to_string())),
-                ("manifest", spec.to_json_value()),
-                ("wait", JsonValue::Bool(wait)),
-            ]);
-            let resp = daemon_request(&ep, &req)?;
-            if !wait {
-                let state = resp.get("state").and_then(JsonValue::as_str).unwrap_or("?");
-                let job = resp.get("job").and_then(JsonValue::as_str).unwrap_or("?");
-                return Ok((format!("submitted {}: job {job} ({state})\n", spec.name), None));
-            }
-            // --wait: the artifact is the output (stdout), so the traffic
-            // summary goes to stderr — exactly like `serve`'s own banner.
-            if let Some(store) = resp.get("store") {
-                let n = |k: &str| store.get(k).and_then(JsonValue::as_u64).unwrap_or(0);
-                eprintln!("store: {} hits, {} misses", n("hits"), n("misses"));
-            }
-            let failed = resp.get("failed").and_then(JsonValue::as_u64).unwrap_or(0);
-            if failed > 0 {
-                let errors = resp.get("errors").and_then(JsonValue::as_array).unwrap_or(&[]);
-                let first = errors.first();
-                let message = first
-                    .and_then(|e| e.get("message"))
-                    .and_then(JsonValue::as_str)
-                    .unwrap_or("unknown failure");
-                let code =
-                    first.and_then(|e| e.get("exit_code")).and_then(JsonValue::as_u64).unwrap_or(1)
-                        as i32;
-                return Err(CliError {
-                    code,
-                    message: format!("{failed} point(s) failed; first: {message}"),
-                    json: None,
-                });
-            }
-            let artifact =
-                resp.get("artifact").and_then(JsonValue::as_str).unwrap_or_default().to_string();
-            Ok((artifact, None))
-        }
-        Command::Status { job: Some(job), sock } => {
-            let ep = resolve_sock(sock)?;
-            let req = JsonValue::object(vec![
-                ("cmd", JsonValue::Str("status".to_string())),
-                ("job", JsonValue::Str(job)),
-            ]);
-            let resp = daemon_request(&ep, &req)?;
-            let job = resp.get("job").and_then(JsonValue::as_str).unwrap_or("?");
-            let state = resp.get("state").and_then(JsonValue::as_str).unwrap_or("?");
-            let mut text = format!("job {job}: {state}\n");
-            if state == "running" {
-                if let Some(p) = resp.get("progress") {
-                    let _ = writeln!(text, "progress: {}", render_progress(p));
-                }
-            }
-            if state == "done" {
-                let n = |k: &str| resp.get(k).and_then(JsonValue::as_u64).unwrap_or(0);
-                let _ = writeln!(
-                    text,
-                    "points: {} ({} failed, {} quarantined)",
-                    n("points"),
-                    n("failed"),
-                    n("quarantined")
-                );
-                if let Some(store) = resp.get("store") {
-                    let s = |k: &str| store.get(k).and_then(JsonValue::as_u64).unwrap_or(0);
-                    let _ = writeln!(text, "store: {} hits, {} misses", s("hits"), s("misses"));
-                }
-                for e in resp.get("errors").and_then(JsonValue::as_array).unwrap_or(&[]) {
-                    if let Some(m) = e.get("message").and_then(JsonValue::as_str) {
-                        let _ = writeln!(text, "error: {m}");
-                    }
-                }
-            }
-            Ok((text, None))
-        }
-        Command::Status { job: None, sock } => {
-            let ep = resolve_sock(sock)?;
-            let req = JsonValue::object(vec![("cmd", JsonValue::Str("status".to_string()))]);
-            let resp = daemon_request(&ep, &req)?;
-            let mut text = String::new();
-            if let Some(version) = resp.get("version").and_then(JsonValue::as_str) {
-                let uptime = resp.get("uptime_ms").and_then(JsonValue::as_u64).unwrap_or(0);
-                let workers = resp.get("workers").and_then(JsonValue::as_u64).unwrap_or(0);
-                let idle = resp.get("workers_idle").and_then(JsonValue::as_u64).unwrap_or(workers);
-                let _ = writeln!(
-                    text,
-                    "daemon v{version}, up {}s, {workers} remote worker(s) ({idle} idle)",
-                    uptime / 1000
-                );
-            }
-            let jobs = resp.get("jobs").and_then(JsonValue::as_array).unwrap_or(&[]);
-            if jobs.is_empty() {
-                text.push_str("no jobs\n");
-                return Ok((text, None));
-            }
-            for j in jobs {
-                let id = j.get("job").and_then(JsonValue::as_str).unwrap_or("?");
-                let state = j.get("state").and_then(JsonValue::as_str).unwrap_or("?");
-                let n = |k: &str| j.get(k).and_then(JsonValue::as_u64).unwrap_or(0);
-                let _ = write!(text, "job {id}: {state}, {} points", n("points"));
-                if state == "done" {
-                    let _ = write!(
-                        text,
-                        " ({} done, {} failed, {} quarantined)",
-                        n("done"),
-                        n("failed"),
-                        n("quarantined")
-                    );
-                } else if let Some(p) = j.get("progress") {
-                    let _ = write!(text, " ({})", render_progress(p));
-                }
-                text.push('\n');
-            }
-            Ok((text, None))
-        }
-        Command::Worker { connect } => {
-            let dial =
-                connect.or_else(|| std::env::var("XLOOPS_CONNECT").ok().filter(|s| !s.is_empty()));
-            match dial {
-                // Remote executor: dial a daemon, register, serve jobs until
-                // the daemon hangs up or sends `exit`.
-                Some(addr) => match crate::bench::worker::worker_connect(&addr) {
-                    Ok(0) => Ok((String::new(), None)),
-                    Ok(code) => Err(CliError {
-                        code,
-                        message: "worker lost its daemon connection".into(),
-                        json: None,
-                    }),
-                    Err((code, message)) => Err(CliError { code, message, json: None }),
-                },
-                // The child half of the supervised worker pool: this blocks
-                // on stdin until the parent closes the pipe or sends `exit`.
-                None => match crate::bench::worker::worker_main() {
-                    0 => Ok((String::new(), None)),
-                    code => Err(CliError {
-                        code,
-                        message: "worker lost its parent pipe".into(),
-                        json: None,
-                    }),
-                },
-            }
-        }
-        Command::Shutdown { sock } => {
-            let ep = resolve_sock(sock)?;
-            let req = JsonValue::object(vec![("cmd", JsonValue::Str("shutdown".to_string()))]);
-            daemon_request(&ep, &req)?;
-            Ok((format!("daemon on {} shutting down\n", ep.describe()), None))
-        }
         Command::StorePrune { manifests, store } => {
             let store = open_store(store)?
                 .ok_or_else(|| manifest_error("store prune needs --store DIR or XLOOPS_STORE"))?;
@@ -1076,65 +742,6 @@ pub fn execute(cmd: Command) -> Result<CommandOutput, CliError> {
             Ok((text, None))
         }
     }
-}
-
-/// Resolves the daemon endpoint (`--sock` flag, else `XLOOPS_SOCK`; a
-/// `tcp://HOST:PORT` value dials TCP); its absence is a usage error.
-fn resolve_sock(flag: Option<String>) -> Result<Endpoint, CliError> {
-    serve::sock_from(flag)
-        .ok_or_else(|| manifest_error("no daemon socket: pass --sock PATH or set XLOOPS_SOCK"))
-}
-
-/// Renders a daemon progress document as one human-readable clause.
-fn render_progress(p: &JsonValue) -> String {
-    let n = |k: &str| p.get(k).and_then(JsonValue::as_u64).unwrap_or(0);
-    format!(
-        "{} queued, {} running, {} done, {} failed, {} store hits",
-        n("queued"),
-        n("running"),
-        n("done"),
-        n("failed"),
-        n("hits")
-    )
-}
-
-/// Maps a client-side socket failure to its CLI surface: a tripped read
-/// or write deadline (the daemon accepted but never answered) is a typed
-/// protocol failure with the usage exit code `2`; anything else (no
-/// socket, connection refused) stays the generic `1`.
-fn client_io_error(at: &str, e: std::io::Error) -> CliError {
-    let timed_out =
-        matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut);
-    if timed_out {
-        CliError {
-            code: 2,
-            message: format!("{at}: daemon did not respond before the client timeout ({e})"),
-            json: None,
-        }
-    } else {
-        CliError::from(format!("{at}: {e}"))
-    }
-}
-
-/// One client round-trip to the daemon, with `ok:false` responses mapped
-/// to a [`CliError`] carrying the daemon's message and exit code. A hung
-/// daemon trips the client's socket deadline ([`proto::client_timeout`]),
-/// which maps through [`client_io_error`] to the usage/protocol exit
-/// code `2` — a deliberate typed failure, never an indefinite block.
-fn daemon_request(ep: &Endpoint, req: &JsonValue) -> Result<JsonValue, CliError> {
-    let resp = proto::request(ep, req).map_err(|e| client_io_error(&ep.describe(), e))?;
-    if resp.get("ok").and_then(JsonValue::as_bool) == Some(true) {
-        return Ok(resp);
-    }
-    let error = resp.get("error");
-    let message = error
-        .and_then(|e| e.get("message"))
-        .and_then(JsonValue::as_str)
-        .unwrap_or("malformed daemon response")
-        .to_string();
-    let code =
-        error.and_then(|e| e.get("exit_code")).and_then(JsonValue::as_u64).unwrap_or(1) as i32;
-    Err(CliError { code, message, json: None })
 }
 
 /// Whether the configured GPP pays out-of-order energy accounting (the
@@ -1230,6 +837,14 @@ mod tests {
         assert!(parse_run_options(&sv(&["--bogus"])).is_err());
         assert!(parse_run_options(&sv(&["--config", "pentium"])).is_err());
         assert!(parse(&sv(&["frobnicate"])).is_err());
+    }
+
+    #[test]
+    fn the_retired_daemon_verbs_are_unknown_subcommands() {
+        for verb in ["serve", "submit", "status", "shutdown", "worker"] {
+            let e = parse(&sv(&[verb])).unwrap_err();
+            assert!(e.starts_with("unknown subcommand"), "{verb}: {e}");
+        }
     }
 
     #[test]
@@ -1541,74 +1156,6 @@ mod tests {
         let cold_doc = ShardDoc::from_bytes(&cold_file.unwrap().1).unwrap();
         let warm_doc = ShardDoc::from_bytes(&warm_file.unwrap().1).unwrap();
         assert_eq!(cold_doc, warm_doc);
-    }
-
-    #[test]
-    fn status_parses_with_and_without_a_job_id() {
-        match parse(&sv(&["status", "abc123", "--sock", "/tmp/x.sock"])).unwrap() {
-            Command::Status { job, sock } => {
-                assert_eq!(job.as_deref(), Some("abc123"));
-                assert_eq!(sock.as_deref(), Some("/tmp/x.sock"));
-            }
-            other => panic!("expected status, got {other:?}"),
-        }
-        // No job id is the listing query, not a usage error.
-        match parse(&sv(&["status"])).unwrap() {
-            Command::Status { job: None, sock: None } => {}
-            other => panic!("expected bare status, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn worker_subcommand_is_hidden_but_parses() {
-        assert!(matches!(parse(&sv(&["worker"])).unwrap(), Command::Worker { connect: None }));
-        match parse(&sv(&["worker", "--connect", "127.0.0.1:9"])).unwrap() {
-            Command::Worker { connect } => assert_eq!(connect.as_deref(), Some("127.0.0.1:9")),
-            other => panic!("expected worker, got {other:?}"),
-        }
-        assert!(parse(&sv(&["worker", "--frob"])).is_err());
-        // Hidden means hidden: the usage text has no `xloops worker`
-        // synopsis line; only the remote-executor form is documented.
-        assert!(!usage().contains("\n  xloops worker"), "worker must stay off the synopsis");
-        assert!(usage().contains("worker --connect"), "the remote form must be documented");
-    }
-
-    #[test]
-    fn hung_daemon_times_out_with_the_protocol_exit_code() {
-        // A listener that accepts but never answers: the client must trip
-        // its read deadline and map it to exit code 2, not block forever.
-        let tmp = TempDir::new("hung-daemon");
-        let sock = tmp.0.join("hung.sock");
-        let listener = std::os::unix::net::UnixListener::bind(&sock).unwrap();
-        let hold = std::thread::spawn(move || {
-            // Hold the accepted connection open, silently, until the
-            // client gives up and the test ends.
-            listener.incoming().next().map(|c| {
-                let c = c.unwrap();
-                std::thread::sleep(std::time::Duration::from_millis(900));
-                drop(c);
-            })
-        });
-        let req = JsonValue::object(vec![("cmd", JsonValue::Str("status".to_string()))]);
-        let t = std::time::Instant::now();
-        // Route through the explicit-timeout entry so the test does not
-        // depend on (or mutate) the process environment.
-        let ep = Endpoint::unix(&sock);
-        let resp = proto::request_with(&ep, &req, Some(std::time::Duration::from_millis(200)));
-        let e = resp.expect_err("a silent daemon must time the client out");
-        assert!(t.elapsed() < std::time::Duration::from_millis(800), "{:?}", t.elapsed());
-        // The CLI maps exactly that error to the typed protocol failure
-        // with the usage exit code — a hung daemon is never exit 1 noise.
-        let cli = client_io_error(&ep.describe(), e);
-        assert_eq!(cli.code, 2, "{}", cli.message);
-        assert!(cli.message.contains("client timeout"), "{}", cli.message);
-        // Other socket failures keep the generic class.
-        let refused = client_io_error(
-            "/nonexistent.sock",
-            std::io::Error::new(std::io::ErrorKind::NotFound, "no such socket"),
-        );
-        assert_eq!(refused.code, 1);
-        let _ = hold.join();
     }
 
     #[test]

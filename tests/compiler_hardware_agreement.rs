@@ -127,3 +127,38 @@ fn compiled_loops_run_specialized_to_the_serial_result() {
         }
     }
 }
+
+/// An adaptive run that migrates a loop between engines mid-instance must
+/// hand the GPP the `xi` (MIVT) registers' serial-equivalent values, or
+/// the resumed iterations address memory through stale pointers.
+#[test]
+fn adaptive_runs_of_xi_lowered_loops_commit_the_interp_memory_image() {
+    let n = 1000u32;
+    let mut l = Loop::new("i", Bound::Fixed(Expr::konst(n as i64)), Annotation::Unordered);
+    l.body.push(Stmt::load("t", ArrayRef::new("a", Subscript::linear(1, 0))));
+    l.body.push(Stmt::assign("t2", Expr::add(Expr::var("t"), Expr::konst(3))));
+    l.body.push(Stmt::store(ArrayRef::new("out", Subscript::linear(1, 0)), Expr::var("t2")));
+    let asm = lower_loop(&l, &CodegenCtx { use_xi: true, ..ctx() }).unwrap();
+    assert!(asm.contains(".xi"), "the loop must be lowered with xi:\n{asm}");
+    let program = assemble(&asm).unwrap();
+    let init = |mem: &mut Memory| {
+        for i in 0..n {
+            mem.write_u32(0x10000 + 4 * i, i * 7 + 1);
+        }
+    };
+
+    let mut gold_mem = Memory::new();
+    init(&mut gold_mem);
+    Interp::new().run(&program, &mut gold_mem, 10_000_000).expect("serial run");
+
+    for config in [SystemConfig::io_x(), SystemConfig::ooo4_x()] {
+        let mut sys = System::new(config);
+        init(sys.mem_mut());
+        sys.run(&program, ExecMode::Adaptive).expect("adaptive run");
+        let wrong = (0x10000..0x1C008u32)
+            .step_by(4)
+            .filter(|&addr| sys.load_word(addr) != gold_mem.read_u32(addr))
+            .count();
+        assert_eq!(wrong, 0, "{}: {wrong} word(s) differ from the serial run", config.name());
+    }
+}
