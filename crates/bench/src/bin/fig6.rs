@@ -1,5 +1,5 @@
 //! Regenerates the paper's fig6 artifact from its declarative
 //! experiment spec. Run with --release.
 fn main() {
-    xloops_bench::emit_spec(&xloops_bench::experiments::fig6_spec());
+    xloops_bench::emit_specs(&[xloops_bench::experiments::fig6_spec()]);
 }

@@ -16,7 +16,12 @@
 //! | `table4` | Table IV — hand-optimized / loop-transformed case studies |
 //! | `table5` | Table V — VLSI area and cycle time model |
 //! | `fig10`  | Figure 10 — VLSI energy efficiency vs performance |
-//! | `all`    | everything above, plus `EXPERIMENTS.md` data |
+//! | `ablation` | LPSU design-choice ablation |
+//! | `all`    | everything above, sharing one deduplicated sweep |
+//!
+//! Every binary is a one-line call to [`emit_specs`], so all of them take
+//! `[--store DIR]` (or `XLOOPS_STORE=DIR`), run through the one spec
+//! executor [`store::run_specs`], and share one failure policy.
 //!
 //! Simulated cycle counts are deterministic, so the artifacts need no
 //! statistical repetition; the Criterion benches in `benches/` instead
@@ -31,12 +36,14 @@ pub mod store;
 use std::fmt::Write as _;
 use std::fs;
 use std::path::PathBuf;
+use std::time::Instant;
 
-use xloops_asm::{lower_gp, Program};
+use xloops_asm::Program;
 use xloops_kernels::Kernel;
 use xloops_sim::{ExecMode, RunOptions, SimError, Supervisor, System, SystemConfig, SystemStats};
 
-pub use runner::{render_artifact, run_reports, RunFailure, Runner};
+use manifest::{render_spec, ExperimentSpec};
+pub use runner::{RunFailure, Runner};
 pub use store::{ResultStore, StoreStats};
 
 /// Result of one kernel execution.
@@ -54,28 +61,14 @@ pub struct RunResult {
     pub error: Option<String>,
 }
 
-/// Runs `program` for `kernel` on a fresh system and verifies the result;
-/// `what` labels panics (`"run"` / `"baseline"`). The knobs of `options`
-/// consulted here are [`RunOptions::sample`], [`RunOptions::supervisor`],
-/// and [`RunOptions::profile`]; the executor knobs belong to the
-/// [`runner::Runner`]. Shared by the direct entry
-/// points below and the memoizing runner.
-pub(crate) fn run_program(
-    kernel: &Kernel,
-    program: &Program,
-    config: SystemConfig,
-    mode: ExecMode,
-    options: &RunOptions,
-    what: &str,
-) -> RunResult {
-    try_run_program(kernel, program, config, mode, options, what)
-        .unwrap_or_else(|e| panic!("{} {what} on {}: {e}", kernel.name, config.name()))
-}
-
-/// The typed-error variant of [`run_program`]: simulation failures come
-/// back as the [`SimError`] itself (so the runner can keep the class and
-/// its exit code), while result-verification failures still panic — a
-/// wrong answer is a harness bug, not a reportable run outcome.
+/// Runs `program` for `kernel` on a fresh system and verifies the result.
+/// The knobs of `options` consulted here are [`RunOptions::sample`],
+/// [`RunOptions::supervisor`], and [`RunOptions::profile`]; the executor
+/// knobs belong to the [`runner::Runner`]. Simulation failures come back
+/// as the typed [`SimError`] (the runner quarantines them), while
+/// result-verification failures panic — a wrong answer is a harness bug,
+/// not a reportable run outcome. `what` labels that panic (`"run"` /
+/// `"baseline"`).
 pub(crate) fn try_run_program(
     kernel: &Kernel,
     program: &Program,
@@ -101,56 +94,82 @@ pub(crate) fn try_run_program(
     Ok(RunResult { cycles: stats.cycles, energy_nj: stats.energy_nj, stats, error: None })
 }
 
-/// Runs a kernel's XLOOPS binary in the given mode, with options from the
-/// environment ([`RunOptions::from_env`]).
-pub fn run_kernel(kernel: &Kernel, config: SystemConfig, mode: ExecMode) -> RunResult {
-    run_program(kernel, &kernel.program, config, mode, &RunOptions::from_env(), "run")
+/// Drives an artifact binary end to end: parses `[--store DIR]` (falling
+/// back to `XLOOPS_STORE`), runs every spec through [`store::run_specs`]
+/// under [`RunOptions::from_env`], renders, prints and writes each
+/// artifact to `results/<name>.txt`, then prints the `[time]`, `[store]`
+/// and `[cache]` lines. Quarantined points still render (as placeholder
+/// cells) but are listed on stderr, and the process exits 1.
+pub fn emit_specs(specs: &[ExperimentSpec]) {
+    let total = Instant::now();
+    let store = store_from_args();
+    let t = Instant::now();
+    let run = store::run_specs(specs, &RunOptions::from_env(), store.as_ref());
+    let simulate_s = t.elapsed().as_secs_f64();
+
+    let mut timings = Vec::new();
+    for (spec, results) in specs.iter().zip(&run.results) {
+        let t = Instant::now();
+        emit(&spec.name, &render_spec(spec, results));
+        timings.push((&spec.name, t.elapsed().as_secs_f64()));
+    }
+    let info = run.prefill;
+    println!(
+        "[time] simulate       {simulate_s:8.3} s  ({} unique points, {} worker thread(s){})",
+        info.unique_points,
+        info.workers,
+        if info.serial { ", serial" } else { "" },
+    );
+    for (name, s) in &timings {
+        println!("[time] render {name:<8}{s:8.3} s");
+    }
+    println!("[time] total          {:8.3} s", total.elapsed().as_secs_f64());
+    if let Some(store) = &store {
+        let s = store.stats();
+        println!(
+            "[store] {} hits, {} misses, {} bytes read, {} bytes written ({})",
+            s.hits,
+            s.misses,
+            s.bytes_read,
+            s.bytes_written,
+            store.dir().display(),
+        );
+    }
+    let c = run.cache;
+    println!(
+        "[cache] {} lookups, {} hits, {} simulations — each unique point simulated exactly once",
+        c.lookups, c.hits, c.sims
+    );
+
+    if !run.failures.is_empty() {
+        eprintln!("[errors] {} simulation point(s) quarantined:", run.failures.len());
+        for f in &run.failures {
+            let k = &f.key;
+            let gp = if k.gp_lowered { ", gp-lowered" } else { "" };
+            eprintln!("[errors]   {} ({:?}{gp}): {}", k.kernel, k.mode, f.message);
+        }
+        std::process::exit(1);
+    }
 }
 
-/// Runs a kernel's XLOOPS binary with *explicit* options: the
-/// environment-independent variant of [`run_kernel`], for callers (like
-/// `bench-summary`'s sampled points) that need one deviating knob without
-/// perturbing the process environment.
-pub fn run_kernel_with(
-    kernel: &Kernel,
-    config: SystemConfig,
-    mode: ExecMode,
-    options: &RunOptions,
-) -> RunResult {
-    run_program(kernel, &kernel.program, config, mode, options, "run")
-}
-
-/// Runs the *general-purpose ISA* baseline: the same kernel lowered with
-/// `xloop` → branch and `xi` → add, executed traditionally. All speedups
-/// in the paper are normalized to this binary on the matching GPP.
-pub fn run_gp_baseline(kernel: &Kernel, config: SystemConfig) -> RunResult {
-    let gp = lower_gp(&kernel.program);
-    run_program(
-        kernel,
-        &gp,
-        SystemConfig { lpsu: None, ..config },
-        ExecMode::Traditional,
-        &RunOptions::from_env(),
-        "baseline",
-    )
-}
-
-/// Drives one artifact binary end to end: two-pass render of `spec`
-/// (collect, parallel prefill, cache-served render), then print + write
-/// `results/<name>.txt`.
-pub fn emit_spec(spec: &manifest::ExperimentSpec) {
-    let report = render_artifact(|r| manifest::render_with_runner(r, spec));
-    emit(&spec.name, &report);
-}
-
-/// `baseline / measured` — >1 means faster than the baseline.
-pub fn speedup(baseline: &RunResult, run: &RunResult) -> f64 {
-    baseline.cycles as f64 / run.cycles.max(1) as f64
-}
-
-/// `baseline / measured` on energy — >1 means more efficient.
-pub fn energy_efficiency(baseline: &RunResult, run: &RunResult) -> f64 {
-    baseline.energy_nj / run.energy_nj.max(1e-9)
+/// The store an artifact binary runs against: `--store DIR` (which must
+/// open), else `XLOOPS_STORE`, else none. Any other argument is a usage
+/// error (exit 2).
+fn store_from_args() -> Option<ResultStore> {
+    let mut args = std::env::args();
+    let bin = args.next().unwrap_or_default();
+    let usage = |problem: String| -> ! {
+        eprintln!("{problem} (usage: {bin} [--store DIR])");
+        std::process::exit(2);
+    };
+    match (args.next(), args.next(), args.next()) {
+        (None, ..) => ResultStore::from_env(),
+        (Some(flag), None, _) if flag == "--store" => usage("--store expects a directory".into()),
+        (Some(flag), Some(dir), None) if flag == "--store" => {
+            Some(ResultStore::open(&dir).unwrap_or_else(|e| usage(format!("--store {dir}: {e}"))))
+        }
+        (Some(arg), ..) => usage(format!("unexpected argument `{arg}`")),
+    }
 }
 
 /// Directory the artifacts are written to (workspace `results/`).
@@ -165,7 +184,7 @@ pub fn results_dir() -> PathBuf {
 /// Prints an artifact and writes it under `results/<name>.txt`. I/O
 /// failures don't abort the run (the artifact was already printed) but are
 /// reported on stderr with the path involved.
-pub fn emit(name: &str, content: &str) {
+fn emit(name: &str, content: &str) {
     println!("{content}");
     let dir = results_dir();
     if let Err(e) = fs::create_dir_all(&dir) {
@@ -244,10 +263,21 @@ mod tests {
     #[test]
     fn harness_runs_a_kernel_and_baseline() {
         let k = by_name("huffman-ua").expect("kernel exists");
-        let base = run_gp_baseline(k, SystemConfig::io());
-        let spec = run_kernel(k, SystemConfig::io_x(), ExecMode::Specialized);
+        let opts = RunOptions::default();
+        let gp = xloops_asm::lower_gp(&k.program);
+        let io = SystemConfig::io();
+        let base = try_run_program(k, &gp, io, ExecMode::Traditional, &opts, "baseline").unwrap();
+        let spec = try_run_program(
+            k,
+            &k.program,
+            SystemConfig::io_x(),
+            ExecMode::Specialized,
+            &opts,
+            "run",
+        )
+        .unwrap();
         assert!(base.cycles > 0 && spec.cycles > 0);
-        assert!(speedup(&base, &spec) > 0.2, "sanity bound");
+        assert!(base.cycles as f64 / spec.cycles as f64 > 0.2, "sanity bound");
     }
 
     #[test]

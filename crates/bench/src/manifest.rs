@@ -499,8 +499,8 @@ fn array_field<'a>(v: &'a JsonValue, key: &str) -> Result<&'a [JsonValue], Manif
 }
 
 /// The canonical JSON tag of an execution mode (`traditional` /
-/// `specialized` / `adaptive`), shared by manifests and `bench-summary`.
-pub fn mode_tag(mode: ExecMode) -> &'static str {
+/// `specialized` / `adaptive`).
+fn mode_tag(mode: ExecMode) -> &'static str {
     match mode {
         ExecMode::Traditional => "traditional",
         ExecMode::Specialized => "specialized",
@@ -1065,13 +1065,6 @@ pub fn render_spec(spec: &ExperimentSpec, results: &[PointResult]) -> String {
     out
 }
 
-/// [`run_spec`] + [`render_spec`] in one call: the generic driver every
-/// artifact binary uses inside the two-pass protocol.
-pub fn render_with_runner(r: &Runner, spec: &ExperimentSpec) -> String {
-    let result = run_spec(r, spec);
-    render_spec(spec, &result.results)
-}
-
 // ---------------------------------------------------------------------------
 // Sharding
 // ---------------------------------------------------------------------------
@@ -1211,9 +1204,9 @@ impl ShardDoc {
 }
 
 /// Executes shard `index` of `of` of a spec under explicit options — the
-/// storeless form of [`crate::store::run_shard_stored`], which runs the
-/// same two-pass collect/prefill protocol the full-artifact binaries use
-/// (so the shard's unique points still fan out over worker threads).
+/// storeless form of [`crate::store::run_shard_stored`], on the same spec
+/// executor the artifact binaries use (so the shard's unique points still
+/// fan out over worker threads).
 pub fn run_shard(spec: &ExperimentSpec, index: usize, of: usize, options: RunOptions) -> ShardDoc {
     crate::store::run_shard_stored(spec, index, of, options, None)
 }
@@ -1462,12 +1455,9 @@ mod tests {
     #[test]
     fn sharded_run_merges_to_the_unsharded_render() {
         let spec = tiny_spec();
-        let unsharded = {
-            let runner = Runner::collecting_with(RunOptions::default());
-            let _ = run_spec(&runner, &spec);
-            runner.prefill();
-            render_with_runner(&runner, &spec)
-        };
+        let run =
+            crate::store::run_specs(std::slice::from_ref(&spec), &RunOptions::default(), None);
+        let unsharded = render_spec(&spec, &run.results[0]);
         let s0 = run_shard(&spec, 0, 2, RunOptions::default());
         let s1 = run_shard(&spec, 1, 2, RunOptions::default());
         // Round-trip the shard docs through their file encoding.

@@ -6,18 +6,18 @@
 //! [`RunKey`], so each unique simulation point executes exactly once no
 //! matter how many reports ask for it.
 //!
-//! Reports run in two passes (see [`run_reports`]):
+//! A runner works in two passes, driven by the store sweep
+//! ([`crate::store::run_specs`]):
 //!
-//! 1. **Collect** — every report renders once against a collecting runner
-//!    that records the deduplicated job list and returns placeholder
-//!    results. Report control flow never branches on simulated values when
-//!    choosing *which* runs to request, so the collected job set is exactly
-//!    the set the real render needs.
-//! 2. **Execute + render** — the unique jobs are simulated (fanned out
-//!    over [`std::thread::available_parallelism`] workers on the
-//!    work-stealing pool [`run_jobs`], or serially with
-//!    `XLOOPS_BENCH_SERIAL=1`), then every report renders again from the
-//!    warm cache.
+//! 1. **Collect** — every point is requested once against a collecting
+//!    runner that records the deduplicated job list and returns
+//!    placeholder results. The point set is a pure function of the specs,
+//!    so the collected job set is exactly the set the live pass needs.
+//! 2. **Execute + serve** — [`Runner::prefill`] simulates the unique jobs
+//!    (fanned out over [`std::thread::available_parallelism`] workers on
+//!    the work-stealing pool [`run_jobs`], or serially with
+//!    `XLOOPS_BENCH_SERIAL=1`), then every point is requested again and
+//!    served from the warm cache.
 //!
 //! Each job builds a fresh [`xloops_sim::System`] and the simulator is deterministic,
 //! so results are independent of worker scheduling: parallel and serial
@@ -28,8 +28,8 @@
 //! caught with [`std::panic::catch_unwind`], quarantined into the runner's
 //! failure list, and replaced by a placeholder [`RunResult`] carrying the
 //! diagnosis in [`RunResult::error`] — one sick point cannot take down a
-//! whole artifact regeneration, and `--bin all` reports the quarantined
-//! set (and exits nonzero) instead of dying mid-render.
+//! whole artifact regeneration, and every artifact binary reports the
+//! quarantined set (and exits nonzero) instead of dying mid-render.
 //!
 //! The memo cache is per-process by design; durability is layered on
 //! top, not in. The store sweep in [`crate::store`] consults a
@@ -39,11 +39,9 @@
 //! by manifest fingerprint + point index + options instead).
 //!
 //! A runner carries a [`RunOptions`] value fixing its supervision policy
-//! and executor knobs (serial fill, worker count, profiling). The
-//! convenience constructors [`Runner::new`] / [`Runner::collecting`] read
-//! [`RunOptions::from_env`] once at construction; [`Runner::with_options`]
-//! / [`Runner::collecting_with`] take the options explicitly, which is how
-//! the manifest sweep driver records exactly what produced a shard.
+//! and executor knobs (serial fill, worker count, profiling), passed
+//! explicitly to [`Runner::collecting_with`] — which is how the sweep
+//! records exactly what produced a shard.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -60,7 +58,7 @@ use crate::{try_run_program, RunResult};
 
 /// Canonical identity of one simulation point.
 ///
-/// Baseline runs are normalized before keying: `run_gp_baseline` strips
+/// Baseline runs are normalized before keying: [`Runner::baseline`] strips
 /// the LPSU and forces [`ExecMode::Traditional`], so a baseline requested
 /// against `ooo/2+x` and one requested against plain `ooo/2` share a key
 /// (and a simulation).
@@ -107,10 +105,6 @@ pub struct RunFailure {
     pub key: RunKey,
     /// The diagnosis (panic payload or rendered simulation error).
     pub message: String,
-    /// The typed error class when the failure was a [`SimError`] rather
-    /// than a panic — kept so downstream reporting (error documents)
-    /// preserves the class and its exit code.
-    pub sim: Option<SimError>,
 }
 
 /// Result of [`Runner::prefill`].
@@ -125,8 +119,8 @@ pub struct PrefillInfo {
 }
 
 /// Memoizing simulation runner. See the module docs for the two-pass
-/// protocol; a runner built with [`Runner::new`] can also be used directly
-/// as a lazy memo cache (misses simulate inline).
+/// protocol; once live, a request the collect pass missed simulates
+/// inline and is memoized.
 pub struct Runner {
     options: RunOptions,
     collecting: AtomicBool,
@@ -141,19 +135,13 @@ pub struct Runner {
     sims: AtomicU64,
 }
 
-impl Default for Runner {
-    fn default() -> Runner {
-        Runner::new()
-    }
-}
-
 impl Runner {
-    /// A live runner with explicit options: requests are served from the
-    /// cache, misses simulate inline and are memoized.
-    pub fn with_options(options: RunOptions) -> Runner {
+    /// A collecting runner with explicit options: requests record jobs and
+    /// return placeholders until [`Runner::prefill`] flips it live.
+    pub fn collecting_with(options: RunOptions) -> Runner {
         Runner {
             options,
-            collecting: AtomicBool::new(false),
+            collecting: AtomicBool::new(true),
             pending: Mutex::new((Vec::new(), HashSet::new())),
             cache: Mutex::new(HashMap::new()),
             gp_programs: Mutex::new(HashMap::new()),
@@ -164,30 +152,7 @@ impl Runner {
         }
     }
 
-    /// [`Runner::with_options`] with options read from the environment.
-    pub fn new() -> Runner {
-        Runner::with_options(RunOptions::from_env())
-    }
-
-    /// A collecting runner with explicit options: requests record jobs and
-    /// return placeholders until [`Runner::prefill`] flips it live.
-    pub fn collecting_with(options: RunOptions) -> Runner {
-        let r = Runner::with_options(options);
-        r.collecting.store(true, Ordering::Relaxed);
-        r
-    }
-
-    /// [`Runner::collecting_with`] with options read from the environment.
-    pub fn collecting() -> Runner {
-        Runner::collecting_with(RunOptions::from_env())
-    }
-
-    /// The options this runner was built with.
-    pub fn options(&self) -> &RunOptions {
-        &self.options
-    }
-
-    /// Requests a kernel run (memoized [`crate::run_kernel`]).
+    /// Requests a run of the kernel's XLOOPS binary (memoized).
     pub fn run(&self, kernel: &Kernel, config: SystemConfig, mode: ExecMode) -> RunResult {
         self.run_sampled(kernel, config, mode, None)
     }
@@ -209,9 +174,12 @@ impl Runner {
         self.request(Job { key, config })
     }
 
-    /// Requests a GP-ISA baseline run (memoized [`crate::run_gp_baseline`]).
+    /// Requests a run of the *general-purpose ISA* baseline (memoized): the
+    /// same kernel lowered with `xloop` → branch and `xi` → add, executed
+    /// traditionally. All speedups in the paper are normalized to this
+    /// binary on the matching GPP.
     pub fn baseline(&self, kernel: &Kernel, config: SystemConfig) -> RunResult {
-        // Normalize exactly as run_gp_baseline executes: no LPSU, lowered
+        // Normalize exactly as the baseline executes: no LPSU, lowered
         // program, traditional mode.
         let config = SystemConfig { lpsu: None, ..config };
         let key = RunKey {
@@ -253,37 +221,28 @@ impl Runner {
     /// [`Runner::try_execute`] behind a panic firewall: a point that
     /// panics — or surfaces a typed [`SimError`] — is quarantined into the
     /// failure list and yields a placeholder result carrying the
-    /// diagnosis, so the rest of the job list still runs. A typed error
-    /// keeps its class on the [`RunFailure`]; the diagnosis message is the
-    /// same line the panic path has always produced for it.
+    /// diagnosis, so the rest of the job list still runs.
     fn execute_caught(&self, job: &Job) -> RunResult {
-        let (message, sim) = match catch_unwind(AssertUnwindSafe(|| self.try_execute(job))) {
+        let message = match catch_unwind(AssertUnwindSafe(|| self.try_execute(job))) {
             Ok(Ok(result)) => return result,
             Ok(Err(e)) => {
                 let what = if job.key.gp_lowered { "baseline" } else { "run" };
-                (format!("{} {what} on {}: {e}", job.key.kernel, job.config.name()), Some(e))
+                format!("{} {what} on {}: {e}", job.key.kernel, job.config.name())
             }
-            Err(payload) => {
-                let message = payload
-                    .downcast_ref::<String>()
-                    .cloned()
-                    .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                    .unwrap_or_else(|| "non-string panic payload".to_string());
-                (message, None)
-            }
+            Err(payload) => payload
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                .unwrap_or_else(|| "non-string panic payload".to_string()),
         };
-        self.failures.lock().unwrap().push(RunFailure {
-            key: job.key,
-            message: message.clone(),
-            sim,
-        });
+        self.failures.lock().unwrap().push(RunFailure { key: job.key, message: message.clone() });
         RunResult { cycles: 1, energy_nj: 1.0, stats: SystemStats::default(), error: Some(message) }
     }
 
     /// Simulates one job on a fresh system, surfacing simulation failures
     /// as the typed [`SimError`]. The key's effective sampling spec
     /// (per-point override already folded in) replaces the runner-wide
-    /// one, so `run_program` sees exactly what the key promises.
+    /// one, so `try_run_program` sees exactly what the key promises.
     fn try_execute(&self, job: &Job) -> Result<RunResult, SimError> {
         let kernel = by_name(job.key.kernel)
             .unwrap_or_else(|| panic!("unknown kernel in run cache: {}", job.key.kernel));
@@ -379,11 +338,6 @@ impl Runner {
         PrefillInfo { unique_points: jobs.len(), workers, serial: false }
     }
 
-    /// Number of distinct keys currently cached.
-    pub fn cached_points(&self) -> usize {
-        self.cache.lock().unwrap().len()
-    }
-
     /// The quarantined simulation points (empty on a healthy run).
     pub fn failures(&self) -> Vec<RunFailure> {
         self.failures.lock().unwrap().clone()
@@ -442,28 +396,32 @@ pub fn run_jobs<T: Sync, R: Send>(
     slots.into_iter().map(|s| s.into_inner().unwrap().expect("pool ran every item")).collect()
 }
 
-/// Runs a report generator with the full two-pass protocol: collect the
-/// job set, execute each unique point exactly once (in parallel unless
-/// `XLOOPS_BENCH_SERIAL=1`), then render from the warm cache. Returns the
-/// rendered output and the runner (for cache statistics).
-pub fn run_reports<R>(f: impl Fn(&Runner) -> R) -> (R, Runner, PrefillInfo) {
-    let runner = Runner::collecting();
-    let _ = f(&runner);
-    let info = runner.prefill();
-    let out = f(&runner);
-    (out, runner, info)
-}
-
-/// [`run_reports`] for a single artifact binary: just the rendered text.
-pub fn render_artifact(f: impl Fn(&Runner) -> String) -> String {
-    run_reports(f).0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
     use xloops_lpsu::LpsuConfig;
+
+    /// A runner flipped live with nothing collected: every first request
+    /// misses and simulates inline, every repeat is a cache hit.
+    fn live() -> Runner {
+        let runner = Runner::collecting_with(RunOptions::default());
+        runner.prefill();
+        runner
+    }
+
+    /// The uncached reference for a point: one direct simulation.
+    fn direct(k: &Kernel, config: SystemConfig, mode: ExecMode, gp: bool) -> RunResult {
+        let opts = RunOptions::default();
+        if gp {
+            let config = SystemConfig { lpsu: None, ..config };
+            let program = lower_gp(&k.program);
+            try_run_program(k, &program, config, ExecMode::Traditional, &opts, "baseline")
+        } else {
+            try_run_program(k, &k.program, config, mode, &opts, "run")
+        }
+        .unwrap()
+    }
 
     #[test]
     fn pool_returns_results_in_item_order() {
@@ -504,7 +462,7 @@ mod tests {
     #[test]
     fn cache_hit_returns_identical_result() {
         let k = by_name("huffman-ua").expect("kernel exists");
-        let runner = Runner::new();
+        let runner = live();
         let first = runner.run(k, SystemConfig::io_x(), ExecMode::Specialized);
         let second = runner.run(k, SystemConfig::io_x(), ExecMode::Specialized);
         assert_eq!(first.cycles, second.cycles);
@@ -517,20 +475,23 @@ mod tests {
     #[test]
     fn cached_result_matches_uncached_harness_calls() {
         let k = by_name("huffman-ua").expect("kernel exists");
-        let runner = Runner::new();
+        let runner = live();
         let spec = runner.run(k, SystemConfig::io_x(), ExecMode::Specialized);
         let base = runner.baseline(k, SystemConfig::io_x());
         assert_eq!(
             spec.cycles,
-            crate::run_kernel(k, SystemConfig::io_x(), ExecMode::Specialized).cycles
+            direct(k, SystemConfig::io_x(), ExecMode::Specialized, false).cycles
         );
-        assert_eq!(base.cycles, crate::run_gp_baseline(k, SystemConfig::io_x()).cycles);
+        assert_eq!(
+            base.cycles,
+            direct(k, SystemConfig::io_x(), ExecMode::Traditional, true).cycles
+        );
     }
 
     #[test]
     fn baselines_normalize_away_the_lpsu() {
         let k = by_name("huffman-ua").expect("kernel exists");
-        let runner = Runner::new();
+        let runner = live();
         let with_lpsu = runner.baseline(k, SystemConfig::io_x());
         let without = runner.baseline(k, SystemConfig::io());
         // Same canonical point: the second request must be a cache hit.
@@ -609,7 +570,7 @@ mod tests {
     #[test]
     fn sampled_and_full_runs_occupy_distinct_cache_slots() {
         let k = by_name("huffman-ua").expect("kernel exists");
-        let runner = Runner::new();
+        let runner = live();
         let full = runner.run(k, SystemConfig::io_x(), ExecMode::Specialized);
         let spec = SampleSpec::new(500, 100, 500).unwrap();
         let sampled =
@@ -636,7 +597,7 @@ mod tests {
         // executor must quarantine it instead of unwinding the harness.
         let hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {})); // quiet the expected panic
-        let runner = Runner::new();
+        let runner = live();
         let key = RunKey {
             kernel: "no-such-kernel",
             config: SystemConfig::io().key(),
@@ -675,7 +636,7 @@ mod tests {
         };
 
         let fill = |workers: usize| {
-            let runner = Runner::collecting();
+            let runner = Runner::collecting_with(RunOptions::default());
             let _ = report(&runner);
             let info = runner.prefill_with(workers);
             (report(&runner), info)
@@ -699,7 +660,10 @@ mod tests {
             let base2 = r.baseline(k, SystemConfig::io_x());
             format!("{} {} {} {}", base.cycles, s1.cycles, s2.cycles, base2.cycles)
         };
-        let (out, runner, info) = run_reports(report);
+        let runner = Runner::collecting_with(RunOptions::default());
+        let _ = report(&runner);
+        let info = runner.prefill();
+        let out = report(&runner);
         // Two unique points: the io baseline and the specialized run.
         assert_eq!(info.unique_points, 2);
         let s = runner.cache_stats();
@@ -707,8 +671,8 @@ mod tests {
         assert_eq!(s.lookups, 4);
         assert_eq!(s.hits, 4, "render pass is fully cache-served");
         // And the rendered text matches a direct (uncached) computation.
-        let direct_base = crate::run_gp_baseline(k, SystemConfig::io());
-        let direct_spec = crate::run_kernel(k, SystemConfig::io_x(), ExecMode::Specialized);
+        let direct_base = direct(k, SystemConfig::io(), ExecMode::Traditional, true);
+        let direct_spec = direct(k, SystemConfig::io_x(), ExecMode::Specialized, false);
         assert_eq!(
             out,
             format!(

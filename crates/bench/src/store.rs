@@ -1,7 +1,7 @@
 //! Durable content-addressed result store.
 //!
 //! A [`crate::Runner`]'s memo cache dies with its process, so repeat
-//! sweeps re-simulate every point. This module persists finished point
+//! runs re-simulate every point. This module persists finished point
 //! results on disk, keyed by *what produced them* rather than where they
 //! ran: the store key is FNV-1a-64 over
 //!
@@ -14,8 +14,8 @@
 //! reads. Sharding does not enter the key: a store warmed by a sharded
 //! sweep serves an unsharded one and vice versa. Neither do the
 //! [`RunOptions`] knobs that cannot change a result — `serial`/`threads`
-//! (CI pins serial == parallel byte identity) and the `bench_date` stamp
-//! — so a dated `bench-summary` run hits a store warmed by `--bin all`.
+//! (CI pins serial == parallel byte identity) — so a serial run hits a
+//! store warmed by a parallel one.
 //!
 //! Each entry is one file, `<key>.dxr`, holding the point's
 //! [`PointResult`] (`{"error": ..., "stats": ...}`) in the
@@ -28,13 +28,14 @@
 //! store treats as a miss (warn, re-simulate, rewrite) — corruption can
 //! cost time, never correctness, and never a panic.
 //!
-//! [`run_shard_stored`] and [`run_specs_stored`] — the functions behind
-//! `xloops sweep`, `--bin all --store`, and `bench-summary` — are the one
-//! execution path: probe the store per point, run the misses through the
-//! [`Runner`]'s two-pass protocol (deduplicated across specs, fanned out
-//! on [`crate::runner::run_jobs`]), save the fresh results, and return
-//! everything in point order. Crash-safe resume falls out of it: a rerun
-//! finds the finished points in the store and simulates only the rest.
+//! [`run_specs`] (and its shard form [`run_shard_stored`]) is the one
+//! spec executor, behind `all`, the ten artifact binaries and `xloops
+//! sweep`, with or without a store: probe the store per point, run the
+//! misses through the [`Runner`]'s two-pass protocol (deduplicated across
+//! specs, fanned out on [`crate::runner::run_jobs`]), save the fresh
+//! results, and return everything in point order with the quarantined
+//! points alongside. Crash-safe resume falls out of it: a rerun finds the
+//! finished points in the store and simulates only the rest.
 //!
 //! Two policy decisions worth their weight:
 //!
@@ -55,7 +56,7 @@ use xloops_sim::RunOptions;
 use xloops_stats::{binary, JsonValue, StatSet};
 
 use crate::manifest::{request_point, shard_points, ExperimentSpec, PointResult, ShardDoc};
-use crate::runner::{PrefillInfo, RunFailure, Runner};
+use crate::runner::{CacheStats, PrefillInfo, RunFailure, Runner};
 
 /// Store-entry filename extension (binary-encoded [`PointResult`]).
 const ENTRY_EXT: &str = "dxr";
@@ -92,20 +93,6 @@ pub struct StoreStats {
     pub bytes_read: u64,
     /// Total bytes of entries written.
     pub bytes_written: u64,
-}
-
-impl StoreStats {
-    /// The snapshot as a JSON object (the `store` section of
-    /// `BENCH_<date>.json`).
-    pub fn to_json_value(&self) -> JsonValue {
-        JsonValue::object(vec![
-            ("hits", JsonValue::UInt(self.hits)),
-            ("misses", JsonValue::UInt(self.misses)),
-            ("corrupt", JsonValue::UInt(self.corrupt)),
-            ("bytes_read", JsonValue::UInt(self.bytes_read)),
-            ("bytes_written", JsonValue::UInt(self.bytes_written)),
-        ])
-    }
 }
 
 /// How a [`ResultStore::load_classified`] probe resolved. The sweep
@@ -186,7 +173,7 @@ impl ResultStore {
     /// [`RunOptions::to_json_value`] rendering — supervision changes
     /// degradation behaviour, `profile` adds stat nodes, `sample`
     /// changes the timing estimate — while pure scheduling/metadata
-    /// knobs (`serial`, `threads`, `bench_date`) are dropped so they
+    /// knobs (`serial`, `threads`) are dropped so they
     /// cannot fragment the cache.
     pub fn point_key(fingerprint: &str, index: usize, options: &RunOptions) -> String {
         let opts = match options.to_json_value() {
@@ -329,10 +316,9 @@ impl ResultStore {
     }
 }
 
-/// [`crate::manifest::run_shard`] with an optional durable store: hits
-/// are served from disk, only misses enter the two-pass simulate
-/// protocol, and fresh results are written back. `None` is exactly the
-/// storeless behavior.
+/// [`crate::manifest::run_shard`] with an optional durable store: the
+/// shard's points through the [`run_specs`] executor, paired with their
+/// indices.
 pub fn run_shard_stored(
     spec: &ExperimentSpec,
     index: usize,
@@ -347,43 +333,62 @@ pub fn run_shard_stored(
     ShardDoc { fingerprint: spec.fingerprint(), index, of, options, spec: spec.clone(), results }
 }
 
-/// Results of a store-backed multi-spec sweep.
+/// Results of [`run_specs`].
 #[derive(Clone, Debug)]
-pub struct StoredSweepResult {
+pub struct SweepResult {
     /// Per-spec, per-point results (spec and point order), ready for
     /// [`crate::manifest::render_spec`].
     pub results: Vec<Vec<PointResult>>,
-    /// Quarantined simulation points across all specs.
+    /// Quarantined simulation points across all specs, one per unique
+    /// point.
     pub failures: Vec<RunFailure>,
     /// Prefill summary (unique *simulated* points; hits never enter it).
     pub prefill: PrefillInfo,
+    /// The runner's traffic counters: one live lookup (and hit) per
+    /// store-missed spec point, one simulation per unique missed point.
+    pub cache: CacheStats,
 }
 
-/// Runs every spec against one shared runner with store consultation:
-/// points present in the store are read, the rest are deduplicated
-/// *across specs* (like `--bin all`'s shared collecting runner) and
-/// simulated once, then written back.
+/// [`run_specs`] against a store that must exist.
 pub fn run_specs_stored(
     specs: &[ExperimentSpec],
     options: &RunOptions,
     store: &ResultStore,
-) -> StoredSweepResult {
-    let work: Vec<(&ExperimentSpec, Vec<usize>)> =
-        specs.iter().map(|s| (s, (0..s.points.len()).collect())).collect();
-    sweep(&work, options, Some(store))
+) -> SweepResult {
+    run_specs(specs, options, Some(store))
 }
 
-/// The one execution path: runs the given point indices of each spec.
-/// Store hits resolve from disk; the misses of every spec share one
-/// memoizing runner, so identical points simulate once across specs. Each
-/// fresh non-errored result is saved, and under `options.profile` every
-/// point gains its `profile.store` counters. Results come back per spec,
-/// in the order of the given indices.
+/// The one spec executor behind every artifact route (`all`, the ten
+/// artifact binaries, `xloops sweep`): runs every point of every spec.
+/// Points present in `store` are read; the rest are deduplicated *across
+/// specs* and simulated exactly once each, then written back.
+pub fn run_specs(
+    specs: &[ExperimentSpec],
+    options: &RunOptions,
+    store: Option<&ResultStore>,
+) -> SweepResult {
+    let work: Vec<(&ExperimentSpec, Vec<usize>)> =
+        specs.iter().map(|s| (s, (0..s.points.len()).collect())).collect();
+    sweep(&work, options, store)
+}
+
+/// Runs the given point indices of each spec. Store hits resolve from
+/// disk; the misses of every spec share one memoizing runner, so
+/// identical points simulate once across specs. Each fresh non-errored
+/// result is saved, and under `options.profile` every point gains its
+/// `profile.store` counters. Results come back per spec, in the order of
+/// the given indices.
+///
+/// # Panics
+///
+/// If a unique point simulated more or less than once, or the live pass
+/// was not fully served from the filled cache (the exactly-once
+/// invariant every route relies on).
 fn sweep(
     work: &[(&ExperimentSpec, Vec<usize>)],
     options: &RunOptions,
     store: Option<&ResultStore>,
-) -> StoredSweepResult {
+) -> SweepResult {
     // Per point: its store key and how the store probe resolved.
     let probes: Vec<Vec<(String, Loaded)>> = work
         .iter()
@@ -447,7 +452,13 @@ fn sweep(
                 .collect()
         })
         .collect();
-    StoredSweepResult { results, failures: runner.failures(), prefill }
+    let cache = runner.cache_stats();
+    assert_eq!(
+        cache.sims as usize, prefill.unique_points,
+        "every unique (kernel, config, mode) point must simulate exactly once"
+    );
+    assert_eq!(cache.lookups, cache.hits, "the live pass must be fully cache-served");
+    SweepResult { results, failures: runner.failures(), prefill, cache }
 }
 
 /// Grafts a `store` child onto the result's `profile` node (creating the
@@ -543,20 +554,41 @@ mod tests {
             assert!(store.load(&ResultStore::point_key(&fp, i, &sampled)).is_none());
         }
 
-        // Scheduling/metadata knobs are proven result-neutral (CI pins
-        // serial == parallel byte identity) and must not fragment the
-        // cache: same keys, and the warm entries still serve.
-        let relabeled = RunOptions {
-            serial: true,
-            threads: Some(7),
-            bench_date: Some("2026-08-08".into()),
-            ..RunOptions::default()
-        };
+        // Scheduling knobs are proven result-neutral (CI pins serial ==
+        // parallel byte identity) and must not fragment the cache: same
+        // keys, and the warm entries still serve.
+        let relabeled = RunOptions { serial: true, threads: Some(7), ..RunOptions::default() };
         for i in 0..spec.points.len() {
             let key = ResultStore::point_key(&fp, i, &relabeled);
             assert_eq!(ResultStore::point_key(&fp, i, &plain), key);
             assert!(store.load(&key).is_some());
         }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn errored_points_are_never_stored() {
+        let dir = store_dir("errored");
+        let store = ResultStore::open(&dir).unwrap();
+        let spec = fig9ish_spec();
+        let budget = xloops_sim::SupervisorConfig {
+            cycle_budget: Some(10),
+            ..xloops_sim::SupervisorConfig::protected()
+        };
+        let options = RunOptions { supervisor: Some(budget), ..RunOptions::default() };
+        let doomed = run_shard_stored(&spec, 0, 1, options, Some(&store));
+        assert!(doomed.results.iter().all(|(_, pr)| pr.error.is_some()), "{doomed:?}");
+        assert_eq!(store.stats().bytes_written, 0);
+        let entries = fs::read_dir(&dir).unwrap().filter_map(Result::ok);
+        assert!(
+            entries.filter(|e| e.path().extension().is_some_and(|x| x == ENTRY_EXT)).count() == 0
+        );
+
+        // Nothing was cached, so a healthy rerun simulates every point.
+        let swept = run_specs(std::slice::from_ref(&spec), &RunOptions::default(), Some(&store));
+        assert!(swept.failures.is_empty());
+        assert_eq!(swept.prefill.unique_points, spec.points.len());
+        assert_eq!(store.stats().hits, 0);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -714,7 +746,6 @@ mod tests {
         let s = store.stats();
         assert_eq!(s.corrupt, 1, "damaged entry must be counted, not just missed");
         assert_eq!(s.misses, 1);
-        assert_eq!(s.to_json_value().get("corrupt").and_then(JsonValue::as_f64), Some(1.0));
         // An absent key is a plain miss, not corruption.
         assert!(store.load("0000000000000000").is_none());
         assert_eq!(store.stats().corrupt, 1);

@@ -224,15 +224,13 @@ fn options_strategy() -> BoxedStrategy<RunOptions> {
         any::<bool>(),
         prop_oneof![Just(None), any::<u64>().prop_map(|t| Some((t as usize) % 64))],
         any::<bool>(),
-        prop_oneof![Just(None), text_strategy().prop_map(Some)],
         sample_strategy(),
     )
-        .prop_map(|(supervisor, serial, threads, profile, bench_date, sample)| RunOptions {
+        .prop_map(|(supervisor, serial, threads, profile, sample)| RunOptions {
             supervisor,
             serial,
             threads,
             profile,
-            bench_date,
             sample,
         })
         .boxed()

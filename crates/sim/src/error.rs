@@ -6,12 +6,10 @@ use xloops_lpsu::LpsuError;
 use xloops_stats::JsonValue;
 
 /// The one canonical error-document shape every machine-readable surface
-/// uses: `{"message": ..., "exit_code": ...}`. The CLI's `--stats json`
-/// error output and `bench-summary`'s `"errors"` array both render
-/// through here, so a client parses one schema no matter which surface
-/// produced the failure.
-/// Failures with no [`SimError`] class behind them (panics, verification
-/// failures) use the generic exit code `1`.
+/// uses: `{"message": ..., "exit_code": ...}` — the body of the CLI's
+/// `--stats json` error output. Failures with no [`SimError`] class
+/// behind them (panics, verification failures) use the generic exit
+/// code `1`.
 pub fn error_doc(message: &str, exit_code: i32) -> JsonValue {
     JsonValue::object(vec![
         ("message", JsonValue::Str(message.to_string())),

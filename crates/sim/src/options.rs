@@ -5,8 +5,9 @@
 //! (the supervisor's config, the bench harness entry points, and the
 //! bench runner's thread-pool setup), so a run's behavior was a function
 //! of scattered `std::env::var` calls. [`RunOptions::from_env`] folds all
-//! of them into one value that is threaded *explicitly* through the
-//! benchmark `Runner` and the CLI — a manifest plus a [`RunOptions`] pair
+//! of them into one value (through the pure [`RunOptions::from_vars`],
+//! which tests feed an explicit variable list) that is threaded
+//! *explicitly* through the benchmark `Runner` and the CLI — a manifest plus a [`RunOptions`] pair
 //! fully determines a run, and [`RunOptions::to_json_value`] records the
 //! pair alongside results for reproducibility.
 //!
@@ -18,12 +19,9 @@
 //! | `XLOOPS_BENCH_SERIAL=1` | execute benchmark job lists serially |
 //! | `XLOOPS_BENCH_THREADS=N` | pin the benchmark worker-thread count |
 //! | `XLOOPS_BENCH_PROFILE=1` | report the slowest simulation points after a serial fill |
-//! | `XLOOPS_BENCH_DATE=YYYY-MM-DD` | override the date in `BENCH_<date>.json` |
 //! | `XLOOPS_SAMPLE=N:W:M` | interval-sampled simulation: fast-forward N instructions, warm W cycles, measure M cycles |
 //!
-//! (`XLOOPS_PROFILE_KERNELS` / `XLOOPS_PROFILE_REPS` belong to the
-//! `profile_lpsu` example only and stay local to it. Two infrastructure
-//! knobs are *deliberately* outside [`RunOptions`]: `XLOOPS_STORE` and
+//! (Two infrastructure knobs are *deliberately* outside [`RunOptions`]: `XLOOPS_STORE` and
 //! `XLOOPS_STORE_QUIET`, read by the bench crate's `ResultStore`. They
 //! name where results are cached and whether damage warnings print, never
 //! what a point computes, so keying results on them would only fragment
@@ -55,29 +53,33 @@ pub struct RunOptions {
     /// Report the slowest simulation points after a serial fill
     /// (`XLOOPS_BENCH_PROFILE=1`).
     pub profile: bool,
-    /// Date stamp override for `BENCH_<date>.json` (`XLOOPS_BENCH_DATE`).
-    pub bench_date: Option<String>,
     /// Interval-sampled simulation (`XLOOPS_SAMPLE=N:W:M`); `None` runs
     /// every cycle in detail (bit-for-bit identical to pre-sampling output).
     pub sample: Option<SampleSpec>,
 }
 
 impl RunOptions {
-    /// Reads every `XLOOPS_*` knob (see the module table). Supervision is
-    /// enabled when `XLOOPS_SUPERVISE=1` or when either supervisor
-    /// parameter (`XLOOPS_CHECKPOINT_INTERVAL`, `XLOOPS_CYCLE_BUDGET`) is
-    /// set; unparsable values are ignored.
+    /// Reads every `XLOOPS_*` knob (see the module table) from the process
+    /// environment: [`RunOptions::from_vars`] over `std::env::var`.
     pub fn from_env() -> RunOptions {
-        let supervise = env_flag("XLOOPS_SUPERVISE")
-            || std::env::var_os("XLOOPS_CHECKPOINT_INTERVAL").is_some()
-            || std::env::var_os("XLOOPS_CYCLE_BUDGET").is_some();
+        RunOptions::from_vars(|name| std::env::var(name).ok())
+    }
+
+    /// The knobs as read through `var` (name to value, `None` when unset).
+    /// Supervision is enabled when `XLOOPS_SUPERVISE=1` or when either
+    /// supervisor parameter (`XLOOPS_CHECKPOINT_INTERVAL`,
+    /// `XLOOPS_CYCLE_BUDGET`) is set; unparsable values are ignored.
+    pub fn from_vars(var: impl Fn(&str) -> Option<String>) -> RunOptions {
+        let flag = |name: &str| var(name).is_some_and(|v| v == "1");
+        let supervise = flag("XLOOPS_SUPERVISE")
+            || var("XLOOPS_CHECKPOINT_INTERVAL").is_some()
+            || var("XLOOPS_CYCLE_BUDGET").is_some();
         RunOptions {
-            supervisor: supervise.then(SupervisorConfig::from_env),
-            serial: env_flag("XLOOPS_BENCH_SERIAL"),
-            threads: env_u64("XLOOPS_BENCH_THREADS").map(|n| (n as usize).max(1)),
-            profile: env_flag("XLOOPS_BENCH_PROFILE"),
-            bench_date: std::env::var("XLOOPS_BENCH_DATE").ok(),
-            sample: std::env::var("XLOOPS_SAMPLE").ok().and_then(|v| v.trim().parse().ok()),
+            supervisor: supervise.then(|| SupervisorConfig::from_vars(&var)),
+            serial: flag("XLOOPS_BENCH_SERIAL"),
+            threads: parse_u64(var("XLOOPS_BENCH_THREADS")).map(|n| (n as usize).max(1)),
+            profile: flag("XLOOPS_BENCH_PROFILE"),
+            sample: var("XLOOPS_SAMPLE").and_then(|v| v.trim().parse().ok()),
         }
     }
 
@@ -99,16 +101,13 @@ impl RunOptions {
             ("serial", JsonValue::Bool(self.serial)),
             ("threads", self.threads.map_or(JsonValue::Null, |n| JsonValue::UInt(n as u64))),
             ("profile", JsonValue::Bool(self.profile)),
-            (
-                "bench_date",
-                self.bench_date.as_ref().map_or(JsonValue::Null, |d| JsonValue::Str(d.clone())),
-            ),
             ("sample", self.sample.map_or(JsonValue::Null, |s| JsonValue::Str(s.to_string()))),
         ])
     }
 
     /// Parses a [`RunOptions::to_json_value`] document (shard files record
-    /// their options; merge surfaces them back).
+    /// their options; merge surfaces them back). Unknown keys are ignored,
+    /// so documents that still carry the retired `bench_date` stamp parse.
     pub fn from_json_value(v: &JsonValue) -> Option<RunOptions> {
         let supervisor = match v.get("supervisor")? {
             JsonValue::Null => None,
@@ -130,10 +129,6 @@ impl RunOptions {
                 n => Some(n.as_u64()? as usize),
             },
             profile: v.get("profile")?.as_bool()?,
-            bench_date: match v.get("bench_date")? {
-                JsonValue::Null => None,
-                d => Some(d.as_str()?.to_string()),
-            },
             // Absent in documents written before sampling existed: those
             // runs were unsampled, so a missing key reads as `None`.
             sample: match v.get("sample") {
@@ -144,14 +139,9 @@ impl RunOptions {
     }
 }
 
-/// `1` (exactly) enables a boolean knob.
-pub(crate) fn env_flag(name: &str) -> bool {
-    std::env::var(name).is_ok_and(|v| v == "1")
-}
-
-/// A `u64` knob; unparsable values read as unset.
-pub(crate) fn env_u64(name: &str) -> Option<u64> {
-    std::env::var(name).ok()?.trim().parse().ok()
+/// A `u64` knob value; unparsable values read as unset.
+pub(crate) fn parse_u64(value: Option<String>) -> Option<u64> {
+    value?.trim().parse().ok()
 }
 
 #[cfg(test)]
@@ -163,18 +153,32 @@ mod tests {
         let o = RunOptions::default();
         assert!(o.supervisor.is_none());
         assert!(!o.serial && !o.profile);
-        assert!(o.threads.is_none() && o.bench_date.is_none());
+        assert!(o.threads.is_none() && o.sample.is_none());
     }
 
     #[test]
     fn from_env_without_knobs_is_default() {
-        // The test environment leaves every XLOOPS_* variable unset.
-        assert_eq!(RunOptions::from_env(), RunOptions::default());
+        // Fed an empty environment, so the ambient one cannot leak in.
+        assert_eq!(RunOptions::from_vars(|_| None), RunOptions::default());
+    }
+
+    #[test]
+    fn checkpoint_interval_alone_turns_supervision_on() {
+        let o = RunOptions::from_vars(|name| {
+            (name == "XLOOPS_CHECKPOINT_INTERVAL").then(|| "1000".to_string())
+        });
+        let cfg = o.supervisor.expect("an interval implies supervision");
+        assert_eq!(
+            cfg,
+            SupervisorConfig { checkpoint_interval: 1000, ..SupervisorConfig::protected() }
+        );
+        assert_eq!(RunOptions { supervisor: None, ..o }, RunOptions::default());
     }
 
     #[test]
     fn pre_sampling_documents_still_parse() {
-        // A document written before the `sample` key existed.
+        // A document written before the `sample` key existed (and while
+        // the retired `bench_date` stamp was still recorded).
         let old = r#"{"supervisor": null, "serial": false, "threads": null,
                       "profile": false, "bench_date": null}"#;
         let v = xloops_stats::JsonValue::parse(old).unwrap();
@@ -191,7 +195,6 @@ mod tests {
                 serial: true,
                 threads: Some(4),
                 profile: true,
-                bench_date: Some("2026-08-06".into()),
                 sample: Some(SampleSpec::new(10_000, 2_000, 50_000).unwrap()),
             },
             RunOptions {

@@ -62,16 +62,22 @@ impl SupervisorConfig {
         SupervisorConfig { enabled: true, ..SupervisorConfig::off() }
     }
 
-    /// [`SupervisorConfig::protected`] with overrides from the environment:
+    /// [`SupervisorConfig::protected`] with overrides from the environment;
+    /// see [`SupervisorConfig::from_vars`].
+    pub fn from_env() -> SupervisorConfig {
+        SupervisorConfig::from_vars(|name| std::env::var(name).ok())
+    }
+
+    /// [`SupervisorConfig::protected`] with overrides read through `var`:
     /// `XLOOPS_CHECKPOINT_INTERVAL` (cycles between checkpoints) and
     /// `XLOOPS_CYCLE_BUDGET` (end-to-end cycle budget). Unparsable values
     /// are ignored.
-    pub fn from_env() -> SupervisorConfig {
+    pub fn from_vars(var: impl Fn(&str) -> Option<String>) -> SupervisorConfig {
         let mut cfg = SupervisorConfig::protected();
-        if let Some(v) = crate::options::env_u64("XLOOPS_CHECKPOINT_INTERVAL") {
+        if let Some(v) = crate::options::parse_u64(var("XLOOPS_CHECKPOINT_INTERVAL")) {
             cfg.checkpoint_interval = v.max(1);
         }
-        if let Some(v) = crate::options::env_u64("XLOOPS_CYCLE_BUDGET") {
+        if let Some(v) = crate::options::parse_u64(var("XLOOPS_CYCLE_BUDGET")) {
             cfg.cycle_budget = Some(v);
         }
         cfg
@@ -440,11 +446,16 @@ mod tests {
 
     #[test]
     fn from_env_parses_overrides() {
-        // Only exercises the parser on a copy of the ambient environment;
-        // the variables are unset in the test environment, so the defaults
-        // must come back.
-        let cfg = SupervisorConfig::from_env();
-        assert!(cfg.enabled);
+        // Fed explicit variables, so the ambient environment cannot leak in.
+        let cfg = SupervisorConfig::from_vars(|_| None);
+        assert_eq!(cfg, SupervisorConfig::protected());
+        let cfg = SupervisorConfig::from_vars(|name| match name {
+            "XLOOPS_CHECKPOINT_INTERVAL" => Some("0".into()),
+            "XLOOPS_CYCLE_BUDGET" => Some(" 5000 ".into()),
+            _ => None,
+        });
+        assert_eq!(cfg.checkpoint_interval, 1, "an interval is at least one cycle");
+        assert_eq!(cfg.cycle_budget, Some(5000));
         assert_eq!(cfg.max_retries, SupervisorConfig::protected().max_retries);
     }
 }

@@ -11,24 +11,32 @@ fn main() {
         }
     };
     match xloops::cli::execute(cmd) {
-        Ok((text, file)) => {
-            print!("{text}");
-            if let Some((path, bytes)) = file {
-                if let Err(e) = std::fs::write(&path, bytes) {
-                    eprintln!("error writing {path}: {e}");
-                    std::process::exit(1);
-                }
-                println!("wrote {path}");
-            }
-        }
+        Ok(output) => emit(output),
         Err(e) => {
-            // Machine-readable mode still gets a parseable document on
-            // stdout; the human diagnosis goes to stderr either way.
+            // A failure may still carry output (a swept shard file, a
+            // merged render with quarantined points); machine-readable
+            // mode gets a parseable document on stdout; the human
+            // diagnosis goes to stderr either way.
+            if let Some(output) = e.output {
+                emit(*output);
+            }
             if let Some(json) = e.json {
                 print!("{json}");
             }
             eprintln!("error: {}", e.message);
             std::process::exit(e.code);
         }
+    }
+}
+
+/// Prints a command's text and writes its file, if any.
+fn emit((text, file): xloops::cli::CommandOutput) {
+    print!("{text}");
+    if let Some((path, bytes)) = file {
+        if let Err(e) = std::fs::write(&path, bytes) {
+            eprintln!("error writing {path}: {e}");
+            std::process::exit(1);
+        }
+        println!("wrote {path}");
     }
 }

@@ -35,7 +35,10 @@
 //!
 //! Cross-machine runs are `sweep --shard K/N` on each machine followed by
 //! one `merge` of the shard files; `--store DIR` lets an interrupted or
-//! repeated sweep resume from the points it already finished.
+//! repeated sweep resume from the points it already finished. A point the
+//! run quarantined still lands in the shard file and the render, but
+//! `sweep` and `merge` then list it on stderr and exit `1`, like the
+//! artifact binaries.
 //!
 //! Exit codes: `0` success, `1` generic failure, `2` usage/parse error,
 //! `3` simulation wedge ([`crate::sim::SimError::NoForwardProgress`]),
@@ -46,7 +49,7 @@ use std::fmt::Write as _;
 
 use crate::asm::{assemble, disassemble, Program};
 use crate::bench::experiments::{all_specs, spec_by_name};
-use crate::bench::manifest::{render_spec, ExperimentSpec, MergeFold, ShardDoc};
+use crate::bench::manifest::{render_spec, ExperimentSpec, MergeFold, PointResult, ShardDoc};
 use crate::bench::store::run_shard_stored;
 use crate::bench::ResultStore;
 use crate::kernels;
@@ -67,38 +70,57 @@ pub struct CliError {
     pub message: String,
     /// JSON error document (only under `--stats json`).
     pub json: Option<String>,
+    /// What the command still produced before failing (a swept shard
+    /// file, a merged render), emitted as on success.
+    pub output: Option<Box<CommandOutput>>,
 }
 
 impl From<String> for CliError {
     fn from(message: String) -> CliError {
-        CliError { code: 1, message, json: None }
+        CliError { code: 1, message, json: None, output: None }
     }
 }
 
 impl From<&str> for CliError {
     fn from(message: &str) -> CliError {
-        CliError { code: 1, message: message.to_string(), json: None }
+        CliError::from(message.to_string())
     }
 }
 
 /// Maps a simulation error to its CLI surface: distinct exit code, the
 /// one-line diagnosis (a wedge reports the loop pc and stalled-context
 /// count), and a JSON error document when `--stats json` was requested.
-/// The document body is [`SimError::to_json_value`] — the same canonical
-/// shape `bench-summary`'s `"errors"` array uses.
+/// The document body is [`SimError::to_json_value`].
 fn sim_error(e: SimError, stats_json: bool) -> CliError {
     let json = stats_json.then(|| {
         let doc = JsonValue::object(vec![("error", e.to_json_value())]);
         doc.render() + "\n"
     });
-    CliError { code: e.exit_code(), message: e.to_string(), json }
+    CliError { code: e.exit_code(), message: e.to_string(), json, output: None }
 }
 
 /// Maps a manifest/shard schema or merge failure to a usage-class error:
 /// a malformed or mismatched input document is the caller's mistake, so it
 /// exits `2` like any other parse error.
 fn manifest_error(e: impl std::fmt::Display) -> CliError {
-    CliError { code: 2, message: e.to_string(), json: None }
+    CliError { code: 2, ..CliError::from(e.to_string()) }
+}
+
+/// The failure policy of every spec route: `output` is produced either
+/// way, but quarantined points (results carrying an error) are listed in
+/// the diagnosis and the command exits `1`.
+fn quarantine_check<'a>(
+    output: CommandOutput,
+    results: impl Iterator<Item = (usize, &'a PointResult)>,
+) -> Result<CommandOutput, CliError> {
+    let listed: Vec<String> = results
+        .filter_map(|(i, pr)| pr.error.as_ref().map(|e| format!("\n  point {i}: {e}")))
+        .collect();
+    if listed.is_empty() {
+        return Ok(output);
+    }
+    let message = format!("{} simulation point(s) quarantined:{}", listed.len(), listed.concat());
+    Err(CliError { output: Some(Box::new(output)), ..CliError::from(message) })
 }
 
 /// Resolves the durable store for `sweep`/`merge`: an explicit `--store`
@@ -267,6 +289,11 @@ pub fn usage() -> &'static str {
      exit codes: 0 ok, 1 error, 2 usage, 3 wedge, 4 fault, 5 cycle budget\n"
 }
 
+/// Reads a file named on the command line; the error names the file.
+fn read_file(path: &str) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))
+}
+
 fn parse_u32(s: &str) -> Result<u32, String> {
     let s = s.trim();
     if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
@@ -376,8 +403,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
     let Some(sub) = args.first() else { return Ok(Command::Help) };
     match sub.as_str() {
         "asm" => {
-            let path = args.get(1).ok_or("asm expects a source file")?;
-            let source = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+            let source = read_file(args.get(1).ok_or("asm expects a source file")?)?;
             let out = match args.get(2).map(String::as_str) {
                 Some("-o") => Some(args.get(3).ok_or("-o expects a path")?.clone()),
                 Some(other) => return Err(format!("unknown option `{other}`")),
@@ -391,8 +417,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             Ok(Command::Disasm { image })
         }
         "run" => {
-            let path = args.get(1).ok_or("run expects a source file")?;
-            let source = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+            let source = read_file(args.get(1).ok_or("run expects a source file")?)?;
             Ok(Command::Run { source, opts: parse_run_options(&args[2..])? })
         }
         "kernels" => Ok(Command::Kernels),
@@ -428,12 +453,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 let mut next =
                     |what: &str| it.next().cloned().ok_or_else(|| format!("{a} expects {what}"));
                 match a.as_str() {
-                    "--manifest" => {
-                        let path = next("a spec file")?;
-                        manifest = Some(
-                            std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?,
-                        );
-                    }
+                    "--manifest" => manifest = Some(read_file(&next("a spec file")?)?),
                     "--shard" => shard = parse_shard(&next("K/N")?)?,
                     "--out" => out = Some(next("a path")?),
                     "--store" => store = Some(next("a directory")?),
@@ -478,12 +498,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 let mut next =
                     |what: &str| it.next().cloned().ok_or_else(|| format!("{a} expects {what}"));
                 match a.as_str() {
-                    "--manifest" => {
-                        let path = next("a spec file")?;
-                        manifests.push(
-                            std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?,
-                        );
-                    }
+                    "--manifest" => manifests.push(read_file(&next("a spec file")?)?),
                     "--store" => store = Some(next("a directory")?),
                     other => return Err(format!("unknown option `{other}`")),
                 }
@@ -660,7 +675,7 @@ pub fn execute(cmd: Command) -> Result<CommandOutput, CliError> {
                 crate::sim::RunOptions::from_env(),
                 store.as_ref(),
             );
-            match out {
+            let output = match out {
                 Some(path) => {
                     // Extension-driven format: `.dxs` writes the compact
                     // binary shard document, anything else the pretty JSON.
@@ -679,10 +694,11 @@ pub fn execute(cmd: Command) -> Result<CommandOutput, CliError> {
                         let s = store.stats();
                         let _ = writeln!(text, "store: {} hits, {} misses", s.hits, s.misses);
                     }
-                    Ok((text, Some((path, bytes))))
+                    (text, Some((path, bytes)))
                 }
-                None => Ok((doc.to_json(), None)),
-            }
+                None => (doc.to_json(), None),
+            };
+            quarantine_check(output, doc.results.iter().map(|(i, pr)| (*i, pr)))
         }
         Command::Merge { shards, store } => {
             let store = open_store(store)?;
@@ -704,7 +720,7 @@ pub fn execute(cmd: Command) -> Result<CommandOutput, CliError> {
             // The rendered artifact *is* the output, byte-for-byte what the
             // unsharded binary writes under `results/` — so a plain `diff`
             // proves the sharded path reproduced it.
-            Ok((render_spec(&spec, &results), None))
+            quarantine_check((render_spec(&spec, &results), None), results.iter().enumerate())
         }
         Command::StorePrune { manifests, store } => {
             let store = open_store(store)?
@@ -1115,6 +1131,34 @@ mod tests {
         let e = execute(Command::Merge { shards: vec![shard0, forged], store: None }).unwrap_err();
         assert_eq!(e.code, 2);
         assert!(e.message.contains("different manifests"), "{}", e.message);
+    }
+
+    #[test]
+    fn merging_a_shard_with_an_errored_point_renders_then_exits_1() {
+        let tmp = TempDir::new("errored");
+        let spec = crate::bench::experiments::spec_by_name("fig9").unwrap();
+        let results: Vec<PointResult> = (0..spec.points.len())
+            .map(|i| PointResult {
+                stats: crate::stats::StatSet::new("system"),
+                error: (i == 3).then(|| "sgemm-uc run on ooo/4+x: cycle budget exceeded".into()),
+            })
+            .collect();
+        let doc = ShardDoc {
+            fingerprint: spec.fingerprint(),
+            index: 0,
+            of: 1,
+            options: crate::sim::RunOptions::default(),
+            spec: spec.clone(),
+            results: results.iter().cloned().enumerate().collect(),
+        };
+        let shard = tmp.file("errored.json", doc.to_json().as_bytes());
+        let e = execute(Command::Merge { shards: vec![shard], store: None }).unwrap_err();
+        assert_eq!(e.code, 1);
+        assert!(e.message.starts_with("1 simulation point(s) quarantined"), "{}", e.message);
+        assert!(e.message.contains("point 3: sgemm-uc run on ooo/4+x"), "{}", e.message);
+        let (text, file) = *e.output.expect("the render is still produced");
+        assert_eq!(text, render_spec(&spec, &results));
+        assert!(file.is_none());
     }
 
     #[test]
