@@ -141,13 +141,11 @@ pub fn emit_specs(specs: &[ExperimentSpec]) {
         c.lookups, c.hits, c.sims
     );
 
-    if !run.failures.is_empty() {
-        eprintln!("[errors] {} simulation point(s) quarantined:", run.failures.len());
-        for f in &run.failures {
-            let k = &f.key;
-            let gp = if k.gp_lowered { ", gp-lowered" } else { "" };
-            eprintln!("[errors]   {} ({:?}{gp}): {}", k.kernel, k.mode, f.message);
-        }
+    let points = specs.iter().zip(&run.results).flat_map(|(spec, results)| {
+        results.iter().enumerate().map(move |(i, pr)| (spec.name.as_str(), i, pr))
+    });
+    if let Some(report) = manifest::quarantine_report(points) {
+        eprintln!("[errors] {report}");
         std::process::exit(1);
     }
 }

@@ -969,6 +969,22 @@ impl PointResult {
     }
 }
 
+/// The failure report every spec route (the artifact binaries, `xloops
+/// sweep`, `xloops merge`) prints on stderr before exiting `1`: one line
+/// per `(spec name, point index, result)` whose result carries an error,
+/// headed by their count; `None` when no point was quarantined. A point
+/// shared by several specs is listed once per spec, as each renders it.
+pub fn quarantine_report<'a>(
+    points: impl IntoIterator<Item = (&'a str, usize, &'a PointResult)>,
+) -> Option<String> {
+    let lines: Vec<String> = points
+        .into_iter()
+        .filter_map(|(spec, i, pr)| pr.error.as_ref().map(|e| format!("\n  {spec} point {i}: {e}")))
+        .collect();
+    (!lines.is_empty())
+        .then(|| format!("{} spec point(s) quarantined:{}", lines.len(), lines.concat()))
+}
+
 /// Results of running a spec: one [`PointResult`] per spec point, in
 /// point order.
 #[derive(Clone, Debug, PartialEq)]

@@ -389,17 +389,18 @@ fn sweep(
     options: &RunOptions,
     store: Option<&ResultStore>,
 ) -> SweepResult {
-    // Per point: its store key and how the store probe resolved.
-    let probes: Vec<Vec<(String, Loaded)>> = work
+    // Per point, when there is a store: its key and how the probe resolved.
+    let probes: Vec<Vec<Option<(String, Loaded)>>> = work
         .iter()
         .map(|(spec, indices)| {
+            let Some(store) = store else { return indices.iter().map(|_| None).collect() };
             let fingerprint = spec.fingerprint();
             indices
                 .iter()
                 .map(|&i| {
                     let key = ResultStore::point_key(&fingerprint, i, options);
-                    let loaded = store.map_or(Loaded::Absent, |s| s.load_classified(&key));
-                    (key, loaded)
+                    let loaded = store.load_classified(&key);
+                    Some((key, loaded))
                 })
                 .collect()
         })
@@ -409,8 +410,8 @@ fn sweep(
     // list, fill the cache once, then request every miss again live.
     let runner = Runner::collecting_with(options.clone());
     for ((spec, indices), probe) in work.iter().zip(&probes) {
-        for (&i, (_, loaded)) in indices.iter().zip(probe) {
-            if !matches!(loaded, Loaded::Hit(..)) {
+        for (&i, probe) in indices.iter().zip(probe) {
+            if !matches!(probe, Some((_, Loaded::Hit(..)))) {
                 let _ = request_point(&runner, &spec.points[i]);
             }
         }
@@ -424,14 +425,14 @@ fn sweep(
             indices
                 .iter()
                 .zip(probe)
-                .map(|(&i, (key, loaded))| {
-                    let corrupt = matches!(loaded, Loaded::Corrupt);
-                    let (mut result, hit, bytes) = match loaded {
-                        Loaded::Hit(result, bytes) => (result, true, bytes),
-                        Loaded::Absent | Loaded::Corrupt => {
+                .map(|(&i, probe)| {
+                    let corrupt = matches!(probe, Some((_, Loaded::Corrupt)));
+                    let (mut result, hit, bytes) = match probe {
+                        Some((_, Loaded::Hit(result, bytes))) => (result, true, bytes),
+                        probe => {
                             let result = request_point(&runner, &spec.points[i]);
-                            let written = match store {
-                                Some(store) if result.error.is_none() => {
+                            let written = match (store, probe) {
+                                (Some(store), Some((key, _))) if result.error.is_none() => {
                                     store.save(&key, &result).unwrap_or_else(|e| {
                                         store.warn(format_args!(
                                             "cannot write entry {key}: {e}; result kept in memory"

@@ -49,7 +49,7 @@ use std::fmt::Write as _;
 
 use crate::asm::{assemble, disassemble, Program};
 use crate::bench::experiments::{all_specs, spec_by_name};
-use crate::bench::manifest::{render_spec, ExperimentSpec, MergeFold, PointResult, ShardDoc};
+use crate::bench::manifest::{quarantine_report, render_spec, ExperimentSpec, MergeFold, ShardDoc};
 use crate::bench::store::run_shard_stored;
 use crate::bench::ResultStore;
 use crate::kernels;
@@ -83,7 +83,7 @@ impl From<String> for CliError {
 
 impl From<&str> for CliError {
     fn from(message: &str) -> CliError {
-        CliError::from(message.to_string())
+        CliError { code: 1, message: message.to_string(), json: None, output: None }
     }
 }
 
@@ -103,24 +103,22 @@ fn sim_error(e: SimError, stats_json: bool) -> CliError {
 /// a malformed or mismatched input document is the caller's mistake, so it
 /// exits `2` like any other parse error.
 fn manifest_error(e: impl std::fmt::Display) -> CliError {
-    CliError { code: 2, ..CliError::from(e.to_string()) }
+    CliError { code: 2, message: e.to_string(), json: None, output: None }
 }
 
 /// The failure policy of every spec route: `output` is produced either
-/// way, but quarantined points (results carrying an error) are listed in
-/// the diagnosis and the command exits `1`.
-fn quarantine_check<'a>(
+/// way, but a [`quarantine_report`] becomes the diagnosis and the command
+/// exits `1`.
+fn quarantine_check(
     output: CommandOutput,
-    results: impl Iterator<Item = (usize, &'a PointResult)>,
+    report: Option<String>,
 ) -> Result<CommandOutput, CliError> {
-    let listed: Vec<String> = results
-        .filter_map(|(i, pr)| pr.error.as_ref().map(|e| format!("\n  point {i}: {e}")))
-        .collect();
-    if listed.is_empty() {
-        return Ok(output);
+    match report {
+        None => Ok(output),
+        Some(message) => {
+            Err(CliError { code: 1, message, json: None, output: Some(Box::new(output)) })
+        }
     }
-    let message = format!("{} simulation point(s) quarantined:{}", listed.len(), listed.concat());
-    Err(CliError { output: Some(Box::new(output)), ..CliError::from(message) })
 }
 
 /// Resolves the durable store for `sweep`/`merge`: an explicit `--store`
@@ -289,11 +287,6 @@ pub fn usage() -> &'static str {
      exit codes: 0 ok, 1 error, 2 usage, 3 wedge, 4 fault, 5 cycle budget\n"
 }
 
-/// Reads a file named on the command line; the error names the file.
-fn read_file(path: &str) -> Result<String, String> {
-    std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))
-}
-
 fn parse_u32(s: &str) -> Result<u32, String> {
     let s = s.trim();
     if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
@@ -403,7 +396,8 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
     let Some(sub) = args.first() else { return Ok(Command::Help) };
     match sub.as_str() {
         "asm" => {
-            let source = read_file(args.get(1).ok_or("asm expects a source file")?)?;
+            let path = args.get(1).ok_or("asm expects a source file")?;
+            let source = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
             let out = match args.get(2).map(String::as_str) {
                 Some("-o") => Some(args.get(3).ok_or("-o expects a path")?.clone()),
                 Some(other) => return Err(format!("unknown option `{other}`")),
@@ -417,7 +411,8 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             Ok(Command::Disasm { image })
         }
         "run" => {
-            let source = read_file(args.get(1).ok_or("run expects a source file")?)?;
+            let path = args.get(1).ok_or("run expects a source file")?;
+            let source = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
             Ok(Command::Run { source, opts: parse_run_options(&args[2..])? })
         }
         "kernels" => Ok(Command::Kernels),
@@ -453,7 +448,12 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 let mut next =
                     |what: &str| it.next().cloned().ok_or_else(|| format!("{a} expects {what}"));
                 match a.as_str() {
-                    "--manifest" => manifest = Some(read_file(&next("a spec file")?)?),
+                    "--manifest" => {
+                        let path = next("a spec file")?;
+                        manifest = Some(
+                            std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?,
+                        );
+                    }
                     "--shard" => shard = parse_shard(&next("K/N")?)?,
                     "--out" => out = Some(next("a path")?),
                     "--store" => store = Some(next("a directory")?),
@@ -498,7 +498,12 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 let mut next =
                     |what: &str| it.next().cloned().ok_or_else(|| format!("{a} expects {what}"));
                 match a.as_str() {
-                    "--manifest" => manifests.push(read_file(&next("a spec file")?)?),
+                    "--manifest" => {
+                        let path = next("a spec file")?;
+                        manifests.push(
+                            std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?,
+                        );
+                    }
                     "--store" => store = Some(next("a directory")?),
                     other => return Err(format!("unknown option `{other}`")),
                 }
@@ -698,7 +703,11 @@ pub fn execute(cmd: Command) -> Result<CommandOutput, CliError> {
                 }
                 None => (doc.to_json(), None),
             };
-            quarantine_check(output, doc.results.iter().map(|(i, pr)| (*i, pr)))
+            let name = doc.spec.name.as_str();
+            quarantine_check(
+                output,
+                quarantine_report(doc.results.iter().map(|(i, pr)| (name, *i, pr))),
+            )
         }
         Command::Merge { shards, store } => {
             let store = open_store(store)?;
@@ -720,7 +729,9 @@ pub fn execute(cmd: Command) -> Result<CommandOutput, CliError> {
             // The rendered artifact *is* the output, byte-for-byte what the
             // unsharded binary writes under `results/` — so a plain `diff`
             // proves the sharded path reproduced it.
-            quarantine_check((render_spec(&spec, &results), None), results.iter().enumerate())
+            let report =
+                quarantine_report(results.iter().enumerate().map(|(i, pr)| (&*spec.name, i, pr)));
+            quarantine_check((render_spec(&spec, &results), None), report)
         }
         Command::StorePrune { manifests, store } => {
             let store = open_store(store)?
@@ -831,6 +842,7 @@ fn report(sys: &System, stats: &crate::sim::SystemStats) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bench::manifest::PointResult;
 
     fn sv(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
@@ -1154,8 +1166,8 @@ mod tests {
         let shard = tmp.file("errored.json", doc.to_json().as_bytes());
         let e = execute(Command::Merge { shards: vec![shard], store: None }).unwrap_err();
         assert_eq!(e.code, 1);
-        assert!(e.message.starts_with("1 simulation point(s) quarantined"), "{}", e.message);
-        assert!(e.message.contains("point 3: sgemm-uc run on ooo/4+x"), "{}", e.message);
+        assert!(e.message.starts_with("1 spec point(s) quarantined"), "{}", e.message);
+        assert!(e.message.contains("fig9 point 3: sgemm-uc run on ooo/4+x"), "{}", e.message);
         let (text, file) = *e.output.expect("the render is still produced");
         assert_eq!(text, render_spec(&spec, &results));
         assert!(file.is_none());
