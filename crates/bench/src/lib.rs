@@ -62,9 +62,9 @@ pub struct RunResult {
 }
 
 /// Runs `program` for `kernel` on a fresh system and verifies the result.
-/// The knobs of `options` consulted here are [`RunOptions::sample`],
-/// [`RunOptions::supervisor`], and [`RunOptions::profile`]; the executor
-/// knobs belong to the [`runner::Runner`]. Simulation failures come back
+/// The knobs of `options` consulted here are [`RunOptions::sample`] and
+/// [`RunOptions::supervisor`]; the executor knob belongs to the
+/// [`runner::Runner`]. Simulation failures come back
 /// as the typed [`SimError`] (the runner quarantines them), while
 /// result-verification failures panic — a wrong answer is a harness bug,
 /// not a reportable run outcome. `what` labels that panic (`"run"` /
@@ -78,7 +78,6 @@ pub(crate) fn try_run_program(
     what: &str,
 ) -> Result<RunResult, SimError> {
     let mut sys = System::new(config);
-    sys.set_profiling(options.profile);
     kernel.init_memory(sys.mem_mut());
     let run = match (&options.sample, &options.supervisor) {
         // Sampled runs are unsupervised by construction (see

@@ -12,7 +12,8 @@
 //!
 //! Because a spec is data, it travels: [`ExperimentSpec::to_json`] /
 //! [`ExperimentSpec::from_json`] round-trip through the deterministic
-//! JSON layer of `xloops-stats`, and [`run_shard`] executes the
+//! JSON layer of `xloops-stats`, and
+//! [`run_shard_stored`](crate::store::run_shard_stored) executes the
 //! deterministic slice `index % of == shard` of a spec's points on one
 //! machine, emitting a [`ShardDoc`] (spec + fingerprint + the
 //! [`RunOptions`] that produced it + per-point stat trees). [`merge`]
@@ -33,7 +34,7 @@ use xloops_energy::EnergyTable;
 use xloops_kernels::by_name;
 use xloops_lpsu::LpsuConfig;
 use xloops_sim::{ExecMode, RunOptions, SampleSpec, SystemConfig};
-use xloops_stats::{binary, BinaryError, JsonError, JsonValue, StatSet, StatValue};
+use xloops_stats::{JsonError, JsonValue, StatSet, StatValue};
 
 use crate::{f2, RunResult, Runner, TextTable};
 
@@ -378,8 +379,6 @@ impl SpecBuilder {
 pub enum ManifestError {
     /// The document is not well-formed JSON.
     Json(JsonError),
-    /// The document is not a well-formed binary document.
-    Binary(BinaryError),
     /// The JSON is well-formed but does not match the manifest schema.
     Schema(String),
     /// A point names a kernel the kernel library does not provide.
@@ -424,7 +423,6 @@ impl fmt::Display for ManifestError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ManifestError::Json(e) => write!(f, "malformed JSON: {e}"),
-            ManifestError::Binary(e) => write!(f, "malformed binary document: {e}"),
             ManifestError::Schema(what) => write!(f, "manifest schema violation: {what}"),
             ManifestError::UnknownKernel(name) => write!(f, "unknown kernel: {name}"),
             ManifestError::PointIndex { index, points } => {
@@ -454,12 +452,6 @@ impl std::error::Error for ManifestError {}
 impl From<JsonError> for ManifestError {
     fn from(e: JsonError) -> ManifestError {
         ManifestError::Json(e)
-    }
-}
-
-impl From<BinaryError> for ManifestError {
-    fn from(e: BinaryError) -> ManifestError {
-        ManifestError::Binary(e)
     }
 }
 
@@ -1156,29 +1148,6 @@ impl ShardDoc {
         s
     }
 
-    /// The shard as one binary document — the `.dxs` file format. Same
-    /// data model as [`ShardDoc::to_json`], roughly a third the bytes.
-    pub fn to_binary(&self) -> Vec<u8> {
-        binary::encode(&self.to_json_value())
-    }
-
-    /// Decodes a [`ShardDoc::to_binary`] document.
-    pub fn from_binary(bytes: &[u8]) -> Result<ShardDoc, ManifestError> {
-        Self::from_json_value(&binary::decode(bytes)?)
-    }
-
-    /// Decodes a shard file of either format, sniffing the binary magic
-    /// (`0xD8` cannot begin UTF-8 text, so the formats never alias).
-    pub fn from_bytes(bytes: &[u8]) -> Result<ShardDoc, ManifestError> {
-        if binary::is_binary(bytes) {
-            Self::from_binary(bytes)
-        } else {
-            let text = std::str::from_utf8(bytes)
-                .map_err(|_| schema("shard file is neither a binary document nor UTF-8 JSON"))?;
-            Self::from_json(text)
-        }
-    }
-
     /// Parses and validates one shard document from JSON text.
     pub fn from_json(text: &str) -> Result<ShardDoc, ManifestError> {
         Self::from_json_value(&JsonValue::parse(text)?)
@@ -1217,14 +1186,6 @@ impl ShardDoc {
             results,
         })
     }
-}
-
-/// Executes shard `index` of `of` of a spec under explicit options — the
-/// storeless form of [`crate::store::run_shard_stored`], on the same spec
-/// executor the artifact binaries use (so the shard's unique points still
-/// fan out over worker threads).
-pub fn run_shard(spec: &ExperimentSpec, index: usize, of: usize, options: RunOptions) -> ShardDoc {
-    crate::store::run_shard_stored(spec, index, of, options, None)
 }
 
 /// The streaming heart of [`merge`]: shard documents are folded in one at
@@ -1315,6 +1276,7 @@ pub fn merge(shards: &[ShardDoc]) -> Result<(ExperimentSpec, Vec<PointResult>), 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::run_shard_stored;
 
     fn tiny_spec() -> ExperimentSpec {
         let mut b = SpecBuilder::new("tiny", "Tiny: a test artifact\n\n");
@@ -1474,8 +1436,8 @@ mod tests {
         let run =
             crate::store::run_specs(std::slice::from_ref(&spec), &RunOptions::default(), None);
         let unsharded = render_spec(&spec, &run.results[0]);
-        let s0 = run_shard(&spec, 0, 2, RunOptions::default());
-        let s1 = run_shard(&spec, 1, 2, RunOptions::default());
+        let s0 = run_shard_stored(&spec, 0, 2, RunOptions::default(), None);
+        let s1 = run_shard_stored(&spec, 1, 2, RunOptions::default(), None);
         // Round-trip the shard docs through their file encoding.
         let s0 = ShardDoc::from_json(&s0.to_json()).expect("shard 0 parses");
         let s1 = ShardDoc::from_json(&s1.to_json()).expect("shard 1 parses");
@@ -1486,8 +1448,8 @@ mod tests {
     #[test]
     fn merge_rejects_mismatched_and_incomplete_shards() {
         let spec = tiny_spec();
-        let s0 = run_shard(&spec, 0, 2, RunOptions::default());
-        let s1 = run_shard(&spec, 1, 2, RunOptions::default());
+        let s0 = run_shard_stored(&spec, 0, 2, RunOptions::default(), None);
+        let s1 = run_shard_stored(&spec, 1, 2, RunOptions::default(), None);
 
         assert_eq!(merge(&[]), Err(schema("no shard documents to merge")));
         assert_eq!(
@@ -1500,14 +1462,14 @@ mod tests {
         // A shard of a *different* manifest must be rejected.
         let mut other = spec.clone();
         other.caption = "Tiny: a different caption\n\n".into();
-        let foreign = run_shard(&other, 1, 2, RunOptions::default());
+        let foreign = run_shard_stored(&other, 1, 2, RunOptions::default(), None);
         assert!(matches!(
             merge(&[s0.clone(), foreign]),
             Err(ManifestError::FingerprintMismatch { .. })
         ));
 
         // Disagreeing shard counts are a distinct, typed failure.
-        let lone = run_shard(&spec, 0, 1, RunOptions::default());
+        let lone = run_shard_stored(&spec, 0, 1, RunOptions::default(), None);
         assert_eq!(
             merge(&[s0, lone]),
             Err(ManifestError::ShardCountMismatch { expected: 2, found: 1 })

@@ -38,8 +38,8 @@
 //! on-disk format never learns about [`RunKey`]s (store entries are keyed
 //! by manifest fingerprint + point index + options instead).
 //!
-//! A runner carries a [`RunOptions`] value fixing its supervision policy
-//! and executor knobs (serial fill, worker count, profiling), passed
+//! A runner carries a [`RunOptions`] value fixing its supervision policy,
+//! sampling spec and serial-fill switch, passed
 //! explicitly to [`Runner::collecting_with`] — which is how the sweep
 //! records exactly what produced a shard.
 
@@ -152,15 +152,11 @@ impl Runner {
         }
     }
 
-    /// Requests a run of the kernel's XLOOPS binary (memoized).
-    pub fn run(&self, kernel: &Kernel, config: SystemConfig, mode: ExecMode) -> RunResult {
-        self.run_sampled(kernel, config, mode, None)
-    }
-
-    /// Requests a kernel run with a per-point sampling override; `None`
-    /// falls back to the runner-wide [`RunOptions::sample`]. The effective
-    /// spec is part of the cache key, so a sampled point and the full run
-    /// of the same configuration never alias.
+    /// Requests a run of the kernel's XLOOPS binary (memoized) with a
+    /// per-point sampling override; `None` falls back to the runner-wide
+    /// [`RunOptions::sample`]. The effective spec is part of the cache
+    /// key, so a sampled point and the full run of the same configuration
+    /// never alias.
     pub fn run_sampled(
         &self,
         kernel: &Kernel,
@@ -276,8 +272,6 @@ impl Runner {
     pub fn prefill(&self) -> PrefillInfo {
         let workers = if self.options.serial {
             1
-        } else if let Some(n) = self.options.threads {
-            n
         } else {
             std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
         };
@@ -291,8 +285,7 @@ impl Runner {
     /// fill against a serial one directly. The fan-out itself is
     /// [`run_jobs`] — the one worker pool in the workspace — this method
     /// only supplies the per-job closure (execute behind the panic
-    /// firewall, time under `--profile`) and folds the results into the
-    /// cache.
+    /// firewall) and folds the results into the cache.
     pub fn prefill_with(&self, workers: usize) -> PrefillInfo {
         let jobs = {
             let (jobs, _) = &mut *self.pending.lock().unwrap();
@@ -300,17 +293,8 @@ impl Runner {
         };
         self.collecting.store(false, Ordering::Relaxed);
         let workers = workers.min(jobs.len().max(1));
-
-        // Wall-clock profiling is only meaningful serially (parallel
-        // timings measure contention, not the simulator).
-        let profile = self.options.profile && workers <= 1;
-        let timings = Mutex::new(Vec::new());
         let results = run_jobs(&jobs, workers, |_, job| {
-            let t = std::time::Instant::now();
             let result = self.execute_caught(job);
-            if profile {
-                timings.lock().unwrap().push((t.elapsed(), job.key));
-            }
             self.sims.fetch_add(1, Ordering::Relaxed);
             result
         });
@@ -319,21 +303,6 @@ impl Runner {
             cache.insert(job.key, result);
         }
         drop(cache);
-
-        if profile {
-            let mut timings = timings.into_inner().unwrap();
-            timings.sort_by_key(|&(d, _)| std::cmp::Reverse(d));
-            eprintln!("[profile] slowest simulation points:");
-            for (d, key) in timings.iter().take(20) {
-                eprintln!(
-                    "[profile] {:8.1} ms  {} {:?} gp={}",
-                    d.as_secs_f64() * 1e3,
-                    key.kernel,
-                    key.mode,
-                    key.gp_lowered,
-                );
-            }
-        }
 
         PrefillInfo { unique_points: jobs.len(), workers, serial: false }
     }
@@ -463,8 +432,8 @@ mod tests {
     fn cache_hit_returns_identical_result() {
         let k = by_name("huffman-ua").expect("kernel exists");
         let runner = live();
-        let first = runner.run(k, SystemConfig::io_x(), ExecMode::Specialized);
-        let second = runner.run(k, SystemConfig::io_x(), ExecMode::Specialized);
+        let first = runner.run_sampled(k, SystemConfig::io_x(), ExecMode::Specialized, None);
+        let second = runner.run_sampled(k, SystemConfig::io_x(), ExecMode::Specialized, None);
         assert_eq!(first.cycles, second.cycles);
         assert_eq!(first.energy_nj, second.energy_nj);
         assert_eq!(first.stats, second.stats);
@@ -476,7 +445,7 @@ mod tests {
     fn cached_result_matches_uncached_harness_calls() {
         let k = by_name("huffman-ua").expect("kernel exists");
         let runner = live();
-        let spec = runner.run(k, SystemConfig::io_x(), ExecMode::Specialized);
+        let spec = runner.run_sampled(k, SystemConfig::io_x(), ExecMode::Specialized, None);
         let base = runner.baseline(k, SystemConfig::io_x());
         assert_eq!(
             spec.cycles,
@@ -571,7 +540,7 @@ mod tests {
     fn sampled_and_full_runs_occupy_distinct_cache_slots() {
         let k = by_name("huffman-ua").expect("kernel exists");
         let runner = live();
-        let full = runner.run(k, SystemConfig::io_x(), ExecMode::Specialized);
+        let full = runner.run_sampled(k, SystemConfig::io_x(), ExecMode::Specialized, None);
         let spec = SampleSpec::new(500, 100, 500).unwrap();
         let sampled =
             runner.run_sampled(k, SystemConfig::io_x(), ExecMode::Specialized, Some(spec));
@@ -623,10 +592,10 @@ mod tests {
             for name in ["rgb2cmyk-uc", "dither-or", "ksack-sm-om"] {
                 let k = by_name(name).expect("kernel exists");
                 let base = r.baseline(k, SystemConfig::ooo2());
-                let s = r.run(k, SystemConfig::ooo2_x(), ExecMode::Specialized);
-                let a = r.run(k, SystemConfig::ooo2_x(), ExecMode::Adaptive);
+                let s = r.run_sampled(k, SystemConfig::ooo2_x(), ExecMode::Specialized, None);
+                let a = r.run_sampled(k, SystemConfig::ooo2_x(), ExecMode::Adaptive, None);
                 let x8 = SystemConfig::ooo2_x().with_lpsu(LpsuConfig::default4().with_lanes(8));
-                let w = r.run(k, x8, ExecMode::Specialized);
+                let w = r.run_sampled(k, x8, ExecMode::Specialized, None);
                 out.push_str(&format!(
                     "{name} {} {} {} {} {:.3}\n",
                     base.cycles, s.cycles, a.cycles, w.cycles, s.energy_nj
@@ -655,8 +624,8 @@ mod tests {
         let report = |r: &Runner| {
             // Ask for the same points repeatedly, like overlapping reports.
             let base = r.baseline(k, SystemConfig::io());
-            let s1 = r.run(k, SystemConfig::io_x(), ExecMode::Specialized);
-            let s2 = r.run(k, SystemConfig::io_x(), ExecMode::Specialized);
+            let s1 = r.run_sampled(k, SystemConfig::io_x(), ExecMode::Specialized, None);
+            let s2 = r.run_sampled(k, SystemConfig::io_x(), ExecMode::Specialized, None);
             let base2 = r.baseline(k, SystemConfig::io_x());
             format!("{} {} {} {}", base.cycles, s1.cycles, s2.cycles, base2.cycles)
         };

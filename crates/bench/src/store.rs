@@ -13,9 +13,9 @@
 //! computes the same keys — and a warm sweep becomes a directory of cache
 //! reads. Sharding does not enter the key: a store warmed by a sharded
 //! sweep serves an unsharded one and vice versa. Neither do the
-//! [`RunOptions`] knobs that cannot change a result — `serial`/`threads`
-//! (CI pins serial == parallel byte identity) — so a serial run hits a
-//! store warmed by a parallel one.
+//! [`RunOptions::serial`] knob, which cannot change a result (CI pins
+//! serial == parallel byte identity), so a serial run hits a store
+//! warmed by a parallel one.
 //!
 //! Each entry is one file, `<key>.dxr`, holding the point's
 //! [`PointResult`] (`{"error": ..., "stats": ...}`) in the
@@ -53,7 +53,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use xloops_sim::RunOptions;
-use xloops_stats::{binary, JsonValue, StatSet};
+use xloops_stats::{binary, JsonValue};
 
 use crate::manifest::{request_point, shard_points, ExperimentSpec, PointResult, ShardDoc};
 use crate::runner::{CacheStats, PrefillInfo, RunFailure, Runner};
@@ -68,10 +68,6 @@ const ENTRY_EXT: &str = "dxr";
 #[derive(Debug)]
 pub struct ResultStore {
     dir: PathBuf,
-    /// `XLOOPS_STORE_QUIET=1`: damage is still *counted*
-    /// (`StoreStats::corrupt`, `profile.store.corrupt`), just not warned
-    /// about on stderr.
-    quiet: bool,
     hits: AtomicU64,
     misses: AtomicU64,
     corrupt: AtomicU64,
@@ -95,23 +91,6 @@ pub struct StoreStats {
     pub bytes_written: u64,
 }
 
-/// How a [`ResultStore::load_classified`] probe resolved. The sweep
-/// needs the three-way split — an absent entry is normal cold-cache
-/// behavior, a corrupt one is worth a warning and a
-/// `profile.store.corrupt` count — while plain [`ResultStore::load`]
-/// callers still see both as a miss.
-#[derive(Debug)]
-enum Loaded {
-    /// A usable entry: the decoded result and its size in bytes.
-    Hit(PointResult, u64),
-    /// No entry on disk.
-    Absent,
-    /// An entry exists but cannot be used (I/O error, failed checksum,
-    /// schema mismatch); the point must re-simulate and the entry will be
-    /// rewritten whole.
-    Corrupt,
-}
-
 /// Report of a [`ResultStore::prune`] pass.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PruneReport {
@@ -128,23 +107,14 @@ impl ResultStore {
     pub fn open(dir: impl Into<PathBuf>) -> std::io::Result<ResultStore> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
-        let quiet = std::env::var("XLOOPS_STORE_QUIET").is_ok_and(|v| v == "1");
         Ok(ResultStore {
             dir,
-            quiet,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             corrupt: AtomicU64::new(0),
             bytes_read: AtomicU64::new(0),
             bytes_written: AtomicU64::new(0),
         })
-    }
-
-    /// One store warning on stderr, unless the store is quiet.
-    fn warn(&self, message: std::fmt::Arguments<'_>) {
-        if !self.quiet {
-            eprintln!("[store] warning: {message}");
-        }
     }
 
     /// The store named by `XLOOPS_STORE`, if set. An unopenable directory
@@ -171,20 +141,19 @@ impl ResultStore {
     /// formatted as 16 hex digits. The options JSON keeps only the
     /// result-affecting knobs of the canonical
     /// [`RunOptions::to_json_value`] rendering — supervision changes
-    /// degradation behaviour, `profile` adds stat nodes, `sample`
-    /// changes the timing estimate — while pure scheduling/metadata
-    /// knobs (`serial`, `threads`) are dropped so they
-    /// cannot fragment the cache.
+    /// degradation behaviour, `sample` changes the timing estimate —
+    /// while the scheduling knob `serial` is dropped so it cannot
+    /// fragment the cache.
     pub fn point_key(fingerprint: &str, index: usize, options: &RunOptions) -> String {
-        let opts = match options.to_json_value() {
-            JsonValue::Object(fields) => JsonValue::Object(
-                fields
-                    .into_iter()
-                    .filter(|(k, _)| matches!(k.as_str(), "supervisor" | "profile" | "sample"))
-                    .collect(),
-            ),
-            v => v,
-        };
+        let opts = options.to_json_value();
+        let field = |k: &str| opts.get(k).cloned().unwrap_or(JsonValue::Null);
+        let opts = JsonValue::object(vec![
+            ("supervisor", field("supervisor")),
+            // The retired `profile` knob stays in the key, always `false`,
+            // so stores filled before it was retired stay warm.
+            ("profile", JsonValue::Bool(false)),
+            ("sample", field("sample")),
+        ]);
         let text = format!("{fingerprint}/{index}/{}", opts.render());
         format!("{:016x}", binary::fnv1a64(text.as_bytes()))
     }
@@ -193,33 +162,23 @@ impl ResultStore {
         self.dir.join(format!("{key}.{ENTRY_EXT}"))
     }
 
-    /// Loads the entry under `key`, returning the result and the entry's
-    /// size in bytes. Any failure — absent file, I/O error, failed
-    /// checksum, schema mismatch — is a miss; only the non-absent kinds
-    /// warn on stderr (through the quiet-respecting path) and count as
-    /// corruption.
-    pub fn load(&self, key: &str) -> Option<(PointResult, u64)> {
-        match self.load_classified(key) {
-            Loaded::Hit(result, bytes) => Some((result, bytes)),
-            Loaded::Absent | Loaded::Corrupt => None,
-        }
-    }
-
-    /// [`ResultStore::load`] with the miss cause preserved — the
-    /// sweep's probe wants to know a damaged entry from a cold one.
-    fn load_classified(&self, key: &str) -> Loaded {
+    /// Loads the entry under `key`. Any failure — absent file, I/O error,
+    /// failed checksum, schema mismatch — is a miss; only the non-absent
+    /// kinds warn on stderr and count as corruption (the point
+    /// re-simulates and its entry is rewritten whole).
+    pub fn load(&self, key: &str) -> Option<PointResult> {
         let path = self.entry_path(key);
         let corrupt = |w: String| {
-            self.warn(format_args!("{}: {w}; treating as a miss", path.display()));
+            eprintln!("[store] warning: {}: {w}; treating as a miss", path.display());
             self.misses.fetch_add(1, Ordering::Relaxed);
             self.corrupt.fetch_add(1, Ordering::Relaxed);
-            Loaded::Corrupt
+            None
         };
         let bytes = match fs::read(&path) {
             Ok(b) => b,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                return Loaded::Absent;
+                return None;
             }
             Err(e) => return corrupt(e.to_string()),
         };
@@ -233,7 +192,7 @@ impl ResultStore {
         };
         self.hits.fetch_add(1, Ordering::Relaxed);
         self.bytes_read.fetch_add(bytes.len() as u64, Ordering::Relaxed);
-        Loaded::Hit(result, bytes.len() as u64)
+        Some(result)
     }
 
     /// Writes `result` under `key` via temp file + fsync + atomic rename,
@@ -271,7 +230,7 @@ impl ResultStore {
                 continue;
             }
             if let Err(e) = self.save(&key, pr) {
-                self.warn(format_args!("cannot backfill entry {key}: {e}"));
+                eprintln!("[store] warning: cannot backfill entry {key}: {e}");
             }
         }
     }
@@ -316,9 +275,9 @@ impl ResultStore {
     }
 }
 
-/// [`crate::manifest::run_shard`] with an optional durable store: the
-/// shard's points through the [`run_specs`] executor, paired with their
-/// indices.
+/// Executes shard `index` of `of` of a spec under explicit options, with
+/// an optional durable store: the shard's points through the
+/// [`run_specs`] executor, paired with their indices.
 pub fn run_shard_stored(
     spec: &ExperimentSpec,
     index: usize,
@@ -375,9 +334,8 @@ pub fn run_specs(
 /// Runs the given point indices of each spec. Store hits resolve from
 /// disk; the misses of every spec share one memoizing runner, so
 /// identical points simulate once across specs. Each fresh non-errored
-/// result is saved, and under `options.profile` every point gains its
-/// `profile.store` counters. Results come back per spec, in the order of
-/// the given indices.
+/// result is saved. Results come back per spec, in the order of the
+/// given indices.
 ///
 /// # Panics
 ///
@@ -389,8 +347,8 @@ fn sweep(
     options: &RunOptions,
     store: Option<&ResultStore>,
 ) -> SweepResult {
-    // Per point, when there is a store: its key and how the probe resolved.
-    let probes: Vec<Vec<Option<(String, Loaded)>>> = work
+    // Per point, when there is a store: its key and the stored result.
+    let probes: Vec<Vec<_>> = work
         .iter()
         .map(|(spec, indices)| {
             let Some(store) = store else { return indices.iter().map(|_| None).collect() };
@@ -399,7 +357,7 @@ fn sweep(
                 .iter()
                 .map(|&i| {
                     let key = ResultStore::point_key(&fingerprint, i, options);
-                    let loaded = store.load_classified(&key);
+                    let loaded = store.load(&key);
                     Some((key, loaded))
                 })
                 .collect()
@@ -411,7 +369,7 @@ fn sweep(
     let runner = Runner::collecting_with(options.clone());
     for ((spec, indices), probe) in work.iter().zip(&probes) {
         for (&i, probe) in indices.iter().zip(probe) {
-            if !matches!(probe, Some((_, Loaded::Hit(..)))) {
+            if !matches!(probe, Some((_, Some(_)))) {
                 let _ = request_point(&runner, &spec.points[i]);
             }
         }
@@ -426,27 +384,19 @@ fn sweep(
                 .iter()
                 .zip(probe)
                 .map(|(&i, probe)| {
-                    let corrupt = matches!(probe, Some((_, Loaded::Corrupt)));
-                    let (mut result, hit, bytes) = match probe {
-                        Some((_, Loaded::Hit(result, bytes))) => (result, true, bytes),
-                        probe => {
-                            let result = request_point(&runner, &spec.points[i]);
-                            let written = match (store, probe) {
-                                (Some(store), Some((key, _))) if result.error.is_none() => {
-                                    store.save(&key, &result).unwrap_or_else(|e| {
-                                        store.warn(format_args!(
-                                            "cannot write entry {key}: {e}; result kept in memory"
-                                        ));
-                                        0
-                                    })
-                                }
-                                _ => 0,
-                            };
-                            (result, false, written)
+                    if let Some((_, Some(hit))) = probe {
+                        return hit;
+                    }
+                    let result = request_point(&runner, &spec.points[i]);
+                    if let (Some(store), Some((key, _))) = (store, probe) {
+                        if result.error.is_none() {
+                            if let Err(e) = store.save(&key, &result) {
+                                eprintln!(
+                                    "[store] warning: cannot write entry {key}: {e}; \
+                                     result kept in memory"
+                                );
+                            }
                         }
-                    };
-                    if options.profile && store.is_some() {
-                        attach_store_counters(&mut result.stats, hit, bytes, corrupt);
                     }
                     result
                 })
@@ -462,32 +412,10 @@ fn sweep(
     SweepResult { results, failures: runner.failures(), prefill, cache }
 }
 
-/// Grafts a `store` child onto the result's `profile` node (creating the
-/// node if the tree has none) so per-point cache traffic rides in the
-/// non-deterministic profile stat family, never in golden artifacts.
-fn attach_store_counters(stats: &mut StatSet, hit: bool, bytes: u64, corrupt: bool) {
-    let mut store = StatSet::new("store");
-    store.set("hits", hit as u64);
-    store.set("misses", !hit as u64);
-    store.set("corrupt", corrupt as u64);
-    store.set("bytes_read", if hit { bytes } else { 0 });
-    store.set("bytes_written", if hit { 0 } else { bytes });
-    match stats.child_mut("profile") {
-        Some(profile) => {
-            profile.push_child(store);
-        }
-        None => {
-            let mut profile = StatSet::new("profile");
-            profile.push_child(store);
-            stats.push_child(profile);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::manifest::{merge, render_spec, run_shard, ExperimentSpec};
+    use crate::manifest::{merge, render_spec, ExperimentSpec};
 
     fn store_dir(tag: &str) -> PathBuf {
         let mut dir = std::env::temp_dir();
@@ -530,7 +458,7 @@ mod tests {
         assert_eq!(w.bytes_written, 0);
         assert_eq!(cold, warm, "warm shard doc must equal the cold one");
         // And both equal the storeless run.
-        assert_eq!(warm, run_shard(&spec, 0, 1, options));
+        assert_eq!(warm, run_shard_stored(&spec, 0, 1, options, None));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -558,7 +486,7 @@ mod tests {
         // Scheduling knobs are proven result-neutral (CI pins serial ==
         // parallel byte identity) and must not fragment the cache: same
         // keys, and the warm entries still serve.
-        let relabeled = RunOptions { serial: true, threads: Some(7), ..RunOptions::default() };
+        let relabeled = RunOptions { serial: true, ..RunOptions::default() };
         for i in 0..spec.points.len() {
             let key = ResultStore::point_key(&fp, i, &relabeled);
             assert_eq!(ResultStore::point_key(&fp, i, &plain), key);
@@ -628,28 +556,6 @@ mod tests {
     }
 
     #[test]
-    fn profile_mode_grafts_store_counters() {
-        let dir = store_dir("profile");
-        let store = ResultStore::open(&dir).unwrap();
-        let spec = fig9ish_spec();
-        let options = RunOptions { profile: true, ..RunOptions::default() };
-        let cold = run_shard_stored(&spec, 0, 1, options.clone(), Some(&store));
-        for (_, pr) in &cold.results {
-            let miss = pr.stats.lookup("profile.store.misses").unwrap().as_counter();
-            assert_eq!(miss, Some(1));
-        }
-        let warm_store = ResultStore::open(&dir).unwrap();
-        let warm = run_shard_stored(&spec, 0, 1, options, Some(&warm_store));
-        for (_, pr) in &warm.results {
-            assert_eq!(pr.stats.lookup("profile.store.hits").unwrap().as_counter(), Some(1));
-            assert!(pr.stats.lookup("profile.store.bytes_read").unwrap().as_counter().unwrap() > 0);
-        }
-        // Store entries themselves never carry the grafted counters: the
-        // warm read's trees differ from the cold ones only in the graft.
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn stored_multi_spec_sweep_matches_plain_render_and_dedups() {
         let dir = store_dir("specs");
         let store = ResultStore::open(&dir).unwrap();
@@ -661,7 +567,7 @@ mod tests {
         // Identical specs: the shared runner simulates each unique point
         // once even though the store records misses for both spec copies.
         assert!(swept.prefill.unique_points <= spec.points.len());
-        let direct = run_shard(&spec, 0, 1, options.clone());
+        let direct = run_shard_stored(&spec, 0, 1, options.clone(), None);
         let (merged_spec, merged) = merge(&[direct]).unwrap();
         for rendered in &swept.results {
             assert_eq!(
@@ -739,7 +645,7 @@ mod tests {
 
     #[test]
     fn corrupt_loads_are_counted_apart_from_absent_ones() {
-        let dir = store_dir("quietcorrupt");
+        let dir = store_dir("counted");
         let store = ResultStore::open(&dir).unwrap();
         let key = ResultStore::point_key("feedfacefeedface", 0, &RunOptions::default());
         fs::write(dir.join(format!("{key}.{ENTRY_EXT}")), b"\xd8XLS garbage").unwrap();

@@ -17,15 +17,12 @@
 //! | `XLOOPS_CHECKPOINT_INTERVAL=N` | supervise with N cycles between checkpoints |
 //! | `XLOOPS_CYCLE_BUDGET=N` | supervise with an end-to-end cycle budget |
 //! | `XLOOPS_BENCH_SERIAL=1` | execute benchmark job lists serially |
-//! | `XLOOPS_BENCH_THREADS=N` | pin the benchmark worker-thread count |
-//! | `XLOOPS_BENCH_PROFILE=1` | report the slowest simulation points after a serial fill |
 //! | `XLOOPS_SAMPLE=N:W:M` | interval-sampled simulation: fast-forward N instructions, warm W cycles, measure M cycles |
 //!
-//! (Two infrastructure knobs are *deliberately* outside [`RunOptions`]: `XLOOPS_STORE` and
-//! `XLOOPS_STORE_QUIET`, read by the bench crate's `ResultStore`. They
-//! name where results are cached and whether damage warnings print, never
-//! what a point computes, so keying results on them would only fragment
-//! the store.)
+//! (One infrastructure knob is *deliberately* outside [`RunOptions`]:
+//! `XLOOPS_STORE`, read by the bench crate's `ResultStore`. It names
+//! where results are cached, never what a point computes, so keying
+//! results on it would only fragment the store.)
 
 use xloops_stats::JsonValue;
 
@@ -36,7 +33,7 @@ use crate::supervisor::SupervisorConfig;
 /// manifest: supervision policy and benchmark-executor knobs.
 ///
 /// [`RunOptions::default`] is the hermetic configuration (no supervision,
-/// parallel execution, no profiling) regardless of the environment;
+/// parallel execution, no sampling) regardless of the environment;
 /// [`RunOptions::from_env`] is the one place the `XLOOPS_*` variables are
 /// read.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -45,14 +42,9 @@ pub struct RunOptions {
     /// [`Supervisor`](crate::Supervisor) with this policy; `None` runs
     /// plain (bit-for-bit unaffected by supervisor counters).
     pub supervisor: Option<SupervisorConfig>,
-    /// Execute benchmark job lists serially (`XLOOPS_BENCH_SERIAL=1`).
+    /// Execute benchmark job lists serially (`XLOOPS_BENCH_SERIAL=1`);
+    /// otherwise they fan out over the available hardware parallelism.
     pub serial: bool,
-    /// Pin the benchmark worker-thread count (`XLOOPS_BENCH_THREADS`);
-    /// `None` uses the available hardware parallelism.
-    pub threads: Option<usize>,
-    /// Report the slowest simulation points after a serial fill
-    /// (`XLOOPS_BENCH_PROFILE=1`).
-    pub profile: bool,
     /// Interval-sampled simulation (`XLOOPS_SAMPLE=N:W:M`); `None` runs
     /// every cycle in detail (bit-for-bit identical to pre-sampling output).
     pub sample: Option<SampleSpec>,
@@ -77,8 +69,6 @@ impl RunOptions {
         RunOptions {
             supervisor: supervise.then(|| SupervisorConfig::from_vars(&var)),
             serial: flag("XLOOPS_BENCH_SERIAL"),
-            threads: parse_u64(var("XLOOPS_BENCH_THREADS")).map(|n| (n as usize).max(1)),
-            profile: flag("XLOOPS_BENCH_PROFILE"),
             sample: var("XLOOPS_SAMPLE").and_then(|v| v.trim().parse().ok()),
         }
     }
@@ -99,15 +89,14 @@ impl RunOptions {
         JsonValue::object(vec![
             ("supervisor", supervisor),
             ("serial", JsonValue::Bool(self.serial)),
-            ("threads", self.threads.map_or(JsonValue::Null, |n| JsonValue::UInt(n as u64))),
-            ("profile", JsonValue::Bool(self.profile)),
             ("sample", self.sample.map_or(JsonValue::Null, |s| JsonValue::Str(s.to_string()))),
         ])
     }
 
     /// Parses a [`RunOptions::to_json_value`] document (shard files record
     /// their options; merge surfaces them back). Unknown keys are ignored,
-    /// so documents that still carry the retired `bench_date` stamp parse.
+    /// so documents that still carry the retired `bench_date`, `threads`
+    /// or `profile` keys parse.
     pub fn from_json_value(v: &JsonValue) -> Option<RunOptions> {
         let supervisor = match v.get("supervisor")? {
             JsonValue::Null => None,
@@ -124,11 +113,6 @@ impl RunOptions {
         Some(RunOptions {
             supervisor,
             serial: v.get("serial")?.as_bool()?,
-            threads: match v.get("threads")? {
-                JsonValue::Null => None,
-                n => Some(n.as_u64()? as usize),
-            },
-            profile: v.get("profile")?.as_bool()?,
             // Absent in documents written before sampling existed: those
             // runs were unsampled, so a missing key reads as `None`.
             sample: match v.get("sample") {
@@ -152,8 +136,7 @@ mod tests {
     fn default_is_hermetic() {
         let o = RunOptions::default();
         assert!(o.supervisor.is_none());
-        assert!(!o.serial && !o.profile);
-        assert!(o.threads.is_none() && o.sample.is_none());
+        assert!(!o.serial && o.sample.is_none());
     }
 
     #[test]
@@ -178,12 +161,18 @@ mod tests {
     #[test]
     fn pre_sampling_documents_still_parse() {
         // A document written before the `sample` key existed (and while
-        // the retired `bench_date` stamp was still recorded).
+        // the retired `bench_date` stamp was still recorded), and one that
+        // still carries the retired `threads` and `profile` knobs.
         let old = r#"{"supervisor": null, "serial": false, "threads": null,
                       "profile": false, "bench_date": null}"#;
         let v = xloops_stats::JsonValue::parse(old).unwrap();
         let o = RunOptions::from_json_value(&v).expect("old documents parse");
         assert_eq!(o, RunOptions::default());
+        let knobs = r#"{"supervisor": null, "serial": true, "threads": 4,
+                        "profile": true, "sample": null}"#;
+        let v = xloops_stats::JsonValue::parse(knobs).unwrap();
+        let o = RunOptions::from_json_value(&v).expect("retired knobs are ignored");
+        assert_eq!(o, RunOptions { serial: true, ..RunOptions::default() });
     }
 
     #[test]
@@ -193,8 +182,6 @@ mod tests {
             RunOptions {
                 supervisor: Some(SupervisorConfig::protected()),
                 serial: true,
-                threads: Some(4),
-                profile: true,
                 sample: Some(SampleSpec::new(10_000, 2_000, 50_000).unwrap()),
             },
             RunOptions {

@@ -41,8 +41,8 @@ pub struct SystemStats {
     /// `None` for full (unsampled) runs.
     pub sampling: Option<SamplingStats>,
     /// Host wall-time breakdown per simulation phase; `None` unless
-    /// profiling is on ([`crate::System::set_profiling`] /
-    /// `XLOOPS_BENCH_PROFILE`).
+    /// profiling is on ([`crate::System::set_profiling`], which the
+    /// benchmark's traced run sets).
     pub profile: Option<ProfileStats>,
 }
 

@@ -1,13 +1,13 @@
 //! Compact self-describing binary encoding of [`JsonValue`] documents.
 //!
-//! The durable result store and the `.dxs` shard files need the same
-//! documents the JSON layer already models, but repeated thousands of
-//! times per sweep — where pretty JSON pays for its readability in
-//! repeated object keys and decimal digits. This module is the wire
-//! sibling of [`crate::json`]: one length-prefixed binary container that
-//! encodes exactly the [`JsonValue`] data model (so every document that
-//! round-trips through JSON round-trips through binary, and vice versa),
-//! at a fraction of the size.
+//! The durable result store's entries (`.dxr` files) are documents the
+//! JSON layer already models, but written and read hundreds of times
+//! per sweep — where JSON pays for its readability in repeated object
+//! keys and decimal digits. (Shard files are JSON only.) This module is
+//! the wire sibling of [`crate::json`]: one length-prefixed binary
+//! container that encodes exactly the [`JsonValue`] data model (so every
+//! document that round-trips through JSON round-trips through binary,
+//! and vice versa), at a fraction of the size.
 //!
 //! # Format grammar
 //!
@@ -40,7 +40,7 @@
 //! Determinism: encoding is a pure function of the value (key-table order
 //! is first appearance, field order is insertion order), so equal
 //! documents encode to identical bytes — the property the
-//! content-addressed store and the shard-merge diff tests rely on.
+//! content-addressed store relies on.
 
 use std::collections::HashMap;
 use std::fmt;

@@ -228,20 +228,6 @@ impl StatSet {
         Self::from_json_value(&JsonValue::parse(text)?)
     }
 
-    /// The tree as one [`binary`] document — the compact wire form the
-    /// durable result store writes. Deterministic: equal trees encode to
-    /// identical bytes.
-    pub fn to_binary(&self) -> Vec<u8> {
-        binary::encode(&self.to_json_value())
-    }
-
-    /// Decodes a [`StatSet::to_binary`] document. Exact inverse: unlike
-    /// the JSON text path, non-finite metrics survive bit-for-bit.
-    pub fn from_binary(bytes: &[u8]) -> Result<StatSet, BinaryError> {
-        let value = binary::decode(bytes)?;
-        Self::from_json_value(&value).map_err(|e| BinaryError { pos: 0, message: e.message })
-    }
-
     /// [`StatSet::from_json`] on an already-parsed [`JsonValue`].
     pub fn from_json_value(v: &JsonValue) -> Result<StatSet, JsonError> {
         let field = |key: &str| {

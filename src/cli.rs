@@ -161,15 +161,14 @@ pub enum Command {
     },
     /// `sweep --manifest FILE [--shard K/N] [--store DIR] [--out FILE]`:
     /// run one shard of a spec; `manifest` holds the spec file's contents.
-    /// An `--out` path ending in `.dxs` writes the binary shard format.
     Sweep {
         manifest: String,
         shard: (usize, usize),
         out: Option<String>,
         store: Option<String>,
     },
-    /// `merge [--store DIR] FILE...`: recombine shard documents (JSON or
-    /// binary, sniffed per file) and render the artifact. `shards` holds
+    /// `merge [--store DIR] FILE...`: recombine JSON shard documents and
+    /// render the artifact. `shards` holds
     /// paths, not contents: merging is a streaming fold, each file read,
     /// folded, and dropped before the next is opened.
     Merge {
@@ -240,9 +239,6 @@ impl RunOptions {
         sys: &mut System,
         program: &Program,
     ) -> Result<crate::sim::SystemStats, SimError> {
-        // Host-phase profiling rides on the same env knob everywhere
-        // (`XLOOPS_BENCH_PROFILE`); stats gain a `profile.*` node.
-        sys.set_profiling(crate::sim::RunOptions::from_env().profile);
         if let Some(spec) = self.sample {
             // Parsing rejects --sample alongside supervision flags.
             return sys.run_sampled(program, self.mode, spec);
@@ -274,15 +270,14 @@ pub fn usage() -> &'static str {
      \x20 xloops kernel <name> [--config C] [--mode M] [--stats F]\n\
      \x20 xloops manifest [<name>] [-o <file>]\n\
      \x20 xloops sweep --manifest <file> [--shard K/N] [--store DIR] [--out <file>]\n\
-     \x20 xloops merge [--store DIR] <shard.json|shard.dxs>...\n\
+     \x20 xloops merge [--store DIR] <shard.json>...\n\
      \x20 xloops store prune --manifest <file>... [--store DIR]\n\n\
      configs: io ooo2 ooo4 io+x ooo2+x ooo4+x   modes: traditional specialized adaptive\n\
      stats formats: text (default) json\n\
      supervision (run/kernel): --faults SEED[:N]  --checkpoint CYCLES  --budget CYCLES\n\
      sampling (run/kernel):    --sample N:W:M (ff N instrs, warm W cycles, measure M cycles)\n\
      store (sweep/merge/prune): --store DIR (or XLOOPS_STORE=DIR) caches point\n\
-     \x20                  results durably; a sweep --out ending in .dxs writes the\n\
-     \x20                  binary shard format\n\
+     \x20                  results durably\n\
      cross-machine: sweep --shard K/N on each machine, then merge the shard files\n\
      exit codes: 0 ok, 1 error, 2 usage, 3 wedge, 4 fault, 5 cycle budget\n"
 }
@@ -682,13 +677,6 @@ pub fn execute(cmd: Command) -> Result<CommandOutput, CliError> {
             );
             let output = match out {
                 Some(path) => {
-                    // Extension-driven format: `.dxs` writes the compact
-                    // binary shard document, anything else the pretty JSON.
-                    let bytes = if path.ends_with(".dxs") {
-                        doc.to_binary()
-                    } else {
-                        doc.to_json().into_bytes()
-                    };
                     let mut text = format!(
                         "sweep {}: shard {index}/{of}, {} of {} points\n",
                         spec.name,
@@ -699,7 +687,7 @@ pub fn execute(cmd: Command) -> Result<CommandOutput, CliError> {
                         let s = store.stats();
                         let _ = writeln!(text, "store: {} hits, {} misses", s.hits, s.misses);
                     }
-                    (text, Some((path, bytes)))
+                    (text, Some((path, doc.to_json().into_bytes())))
                 }
                 None => (doc.to_json(), None),
             };
@@ -716,9 +704,9 @@ pub fn execute(cmd: Command) -> Result<CommandOutput, CliError> {
                 // Streaming: read -> decode -> fold -> drop, one file at a
                 // time; decode failures and mismatched shards are usage
                 // errors naming the offending file.
-                let bytes =
-                    std::fs::read(path).map_err(|e| manifest_error(format!("{path}: {e}")))?;
-                let doc = ShardDoc::from_bytes(&bytes)
+                let text = std::fs::read_to_string(path)
+                    .map_err(|e| manifest_error(format!("{path}: {e}")))?;
+                let doc = ShardDoc::from_json(&text)
                     .map_err(|e| manifest_error(format!("{path}: {e}")))?;
                 if let Some(store) = &store {
                     store.backfill(&doc);
@@ -1117,18 +1105,17 @@ mod tests {
         let expect = render_spec(&spec, &[]);
         assert_eq!(merged, expect, "merge renders the artifact byte-for-byte");
 
-        // The binary form of the same shard merges to identical output.
-        let doc = ShardDoc::from_json(&shard_json).unwrap();
-        let dxs = tmp.file("shard0.dxs", &doc.to_binary());
-        let (from_binary, _) = execute(Command::Merge { shards: vec![dxs], store: None }).unwrap();
-        assert_eq!(from_binary, expect, "binary shard renders byte-identically");
-
         // An unparseable shard is a usage-class failure (exit code 2) with
-        // the offending file named in the diagnosis; so is a missing file.
+        // the offending file named in the diagnosis; so is a missing file,
+        // and so is a binary-encoded shard (shard files are JSON only).
         let bad = tmp.file("bad.json", &shard_json.as_bytes()[..shard_json.len() / 2]);
-        let e = execute(Command::Merge { shards: vec![bad], store: None }).unwrap_err();
-        assert_eq!(e.code, 2);
-        assert!(e.message.contains("bad.json"), "{}", e.message);
+        let doc = ShardDoc::from_json(&shard_json).unwrap();
+        let dxs = tmp.file("shard0.dxs", &crate::stats::binary::encode(&doc.to_json_value()));
+        for (file, name) in [(bad, "bad.json"), (dxs, "shard0.dxs")] {
+            let e = execute(Command::Merge { shards: vec![file], store: None }).unwrap_err();
+            assert_eq!(e.code, 2);
+            assert!(e.message.contains(name), "{}", e.message);
+        }
         let e = execute(Command::Merge { shards: vec!["no-such.json".into()], store: None })
             .unwrap_err();
         assert_eq!(e.code, 2);
@@ -1175,10 +1162,10 @@ mod tests {
 
     #[test]
     fn merge_parse_collects_paths_and_store_flag() {
-        let cmd = parse(&sv(&["merge", "--store", "/tmp/s", "a.json", "b.dxs"])).unwrap();
+        let cmd = parse(&sv(&["merge", "--store", "/tmp/s", "a.json", "b.json"])).unwrap();
         match cmd {
             Command::Merge { shards, store } => {
-                assert_eq!(shards, vec!["a.json".to_string(), "b.dxs".to_string()]);
+                assert_eq!(shards, vec!["a.json".to_string(), "b.json".to_string()]);
                 assert_eq!(store.as_deref(), Some("/tmp/s"));
             }
             other => panic!("expected merge, got {other:?}"),
@@ -1206,12 +1193,9 @@ mod tests {
         // table5 has zero points, so both counters are zero — the line
         // format is what this pins (CI greps it on a real manifest).
         assert!(cold_text.contains("store: 0 hits, 0 misses"), "{cold_text}");
-        let (warm_text, warm_file) = run("warm.dxs");
+        let (warm_text, warm_file) = run("warm.json");
         assert!(warm_text.contains("store: 0 hits, 0 misses"), "{warm_text}");
-        // JSON out vs .dxs out: different bytes, same document.
-        let cold_doc = ShardDoc::from_bytes(&cold_file.unwrap().1).unwrap();
-        let warm_doc = ShardDoc::from_bytes(&warm_file.unwrap().1).unwrap();
-        assert_eq!(cold_doc, warm_doc);
+        assert_eq!(cold_file.unwrap().1, warm_file.unwrap().1, "same shard document");
     }
 
     #[test]

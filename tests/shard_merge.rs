@@ -5,7 +5,8 @@
 //! failure modes of [`merge`] on mismatched or incomplete shard sets.
 
 use xloops::bench::experiments::{fig9_spec, table5_spec};
-use xloops::bench::manifest::{merge, render_spec, run_shard, ManifestError, ShardDoc};
+use xloops::bench::manifest::{merge, render_spec, ManifestError, ShardDoc};
+use xloops::bench::store::run_shard_stored;
 use xloops::sim::RunOptions;
 
 fn committed(name: &str) -> String {
@@ -23,7 +24,7 @@ fn sharded_fig9_reproduces_the_committed_artifact() {
 
     let shards: Vec<ShardDoc> = (0..2)
         .map(|i| {
-            let doc = run_shard(&spec, i, 2, RunOptions::default());
+            let doc = run_shard_stored(&spec, i, 2, RunOptions::default(), None);
             // Each shard document survives its on-disk JSON format.
             ShardDoc::from_json(&doc.to_json()).expect("shard file round trip")
         })
@@ -41,8 +42,8 @@ fn merge_failure_modes_are_typed() {
     // table5 has no simulation points, so shard documents are free to
     // construct; the failure modes under test are all metadata-level.
     let spec = table5_spec();
-    let half0 = run_shard(&spec, 0, 2, RunOptions::default());
-    let half1 = run_shard(&spec, 1, 2, RunOptions::default());
+    let half0 = run_shard_stored(&spec, 0, 2, RunOptions::default(), None);
+    let half1 = run_shard_stored(&spec, 1, 2, RunOptions::default(), None);
 
     // Missing shard: only one half of a two-shard split.
     assert!(matches!(
@@ -57,7 +58,7 @@ fn merge_failure_modes_are_typed() {
     ));
 
     // Disagreeing shard counts.
-    let lone = run_shard(&spec, 0, 1, RunOptions::default());
+    let lone = run_shard_stored(&spec, 0, 1, RunOptions::default(), None);
     assert!(matches!(
         merge(&[half0.clone(), lone]),
         Err(ManifestError::ShardCountMismatch { expected: 2, found: 1 })
